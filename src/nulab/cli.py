@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from . import corpus, exact, families, gio, oracle, rules, structure
 from .errors import (
@@ -26,20 +26,21 @@ from .errors import (
     MalformedGraph6,
     MalformedSparse6,
     LoopRejected,
+    MissingProfileField,
     NotInClass,
     NuLabError,
+    SinkWriteError,
     TooLarge,
     UnknownFamily,
 )
 from .graph import MultiGraph
 from .profiling import compute_profile, profile_as_dict, profile_from_dict
+from .rules import GraphProfile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONJECTURE = 2
 EXIT_THEOREM = 3
-
-_THEOREM_KINDS = {"theorem", "proposition", "lemma-bound", "external-cited"}
 
 
 def _worker_cap() -> int:
@@ -56,22 +57,40 @@ def _worker_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# graph input
+# input and output
 
 
-def _read_graphs(stream: TextIO) -> Iterator[tuple[int, Optional[MultiGraph], str]]:
-    """(line number, graph or None, error message) triples."""
+def _read_graphs(stream: TextIO) -> Iterator[tuple[int, str, MultiGraph]]:
+    """(line number, format, graph) per graph line; a line that does not
+    parse gets an error record instead."""
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
+        sparse = line.startswith(":") or line.startswith(">>sparse6<<")
         try:
-            if line.startswith(":") or line.startswith(">>sparse6<<"):
-                yield lineno, gio.parse_sparse6(line), ""
-            else:
-                yield lineno, gio.parse_graph6(line), ""
+            g = gio.parse_sparse6(line) if sparse else gio.parse_graph6(line)
         except (MalformedGraph6, MalformedSparse6, LoopRejected) as exc:
-            yield lineno, None, str(exc)
+            gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+            continue
+        yield lineno, "sparse6" if sparse else "graph6", g
+
+
+def _read_profiles(stream: TextIO) -> Iterator[tuple[int, GraphProfile]]:
+    """(line number, profile) per JSON profile line (a bare profile or an
+    object with a "profile" field); a line that does not parse gets an
+    error record instead."""
+    for lineno, raw in enumerate(stream, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+            profile = profile_from_dict(obj.get("profile", obj))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            error = f"bad profile: {exc!r}"
+            gio.write_record(sys.stdout, {"line": lineno, "error": error})
+            continue
+        yield lineno, profile
 
 
 def _open_input(path: Optional[str]) -> TextIO:
@@ -80,59 +99,49 @@ def _open_input(path: Optional[str]) -> TextIO:
     return open(path, "r", encoding="utf-8")
 
 
-def _emit(sink: TextIO, obj: dict) -> None:
-    sink.write(json.dumps(gio._jsonable(obj), sort_keys=True) + "\n")
+def _ms_since(start: float) -> int:
+    return int((time.monotonic() - start) * 1000)
 
 
 # ---------------------------------------------------------------------------
 # gen
 
+# family -> (required parameters, constructor taking them in order)
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "fig1": ((), families.fig1_graph),
+    "sylvester10": ((), families.sylvester10),
+    "fig3": ((), families.fig3_graph12),
+    "petersen": ((), families.petersen),
+    "petersen-minus-vertex": ((), families.petersen_minus_vertex),
+    "fig5": ((), families.fig5_graph28),
+    "k4": ((), families.k4),
+    "remark": (("k", "l"), families.remark_family),
+    "ring": (("r",), families.ring_of_diamonds),
+    "cycle": (("l",), families.cycle),
+    "triangle-replace-petersen": (
+        (),
+        lambda: families.triangle_replace(families.petersen()),
+    ),
+    "random-trees": (("count", "max_n", "seed"), corpus.random_trees),
+    "random-unicyclic": (("count", "max_n", "seed"), corpus.random_unicyclics),
+    "cubic": (("max_n",), corpus.connected_cubic_graphs),
+}
+
 
 def _gen_graphs(args: argparse.Namespace) -> list[MultiGraph]:
-    name = args.family
-    if name == "fig1":
-        return [families.fig1_graph()]
-    if name == "sylvester10":
-        return [families.sylvester10()]
-    if name == "fig3":
-        return [families.fig3_graph12()]
-    if name == "petersen":
-        return [families.petersen()]
-    if name == "petersen-minus-vertex":
-        return [families.petersen_minus_vertex()]
-    if name == "fig5":
-        return [families.fig5_graph28()]
-    if name == "k4":
-        return [families.k4()]
-    if name == "remark":
-        if args.k is None or args.l is None:
-            raise BadParameter("remark requires --k and --l")
-        return [families.remark_family(args.k, args.l)]
-    if name == "ring":
-        if args.r is None:
-            raise BadParameter("ring requires --r")
-        return [families.ring_of_diamonds(args.r)]
-    if name == "cycle":
-        if args.l is None:
-            raise BadParameter("cycle requires --l")
-        return [families.cycle(args.l)]
-    if name == "triangle-replace-petersen":
-        return [families.triangle_replace(families.petersen())]
-    if name == "random-trees":
-        return list(corpus.random_trees(args.count, args.max_n, args.seed))
-    if name == "random-unicyclic":
-        return list(corpus.random_unicyclics(args.count, args.max_n, args.seed))
-    if name == "cubic":
-        return corpus.connected_cubic_graphs(args.max_n)
-    raise UnknownFamily(name)
+    if args.family not in _FAMILIES:
+        raise UnknownFamily(args.family)
+    params, build = _FAMILIES[args.family]
+    values = [getattr(args, p) for p in params]
+    if None in values:
+        flags = " and ".join(f"--{p}" for p in params)
+        raise BadParameter(f"{args.family} requires {flags}")
+    out = build(*values)
+    return [out] if isinstance(out, MultiGraph) else list(out)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        graphs = _gen_graphs(args)
-    except (UnknownFamily, BadParameter) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graphs = _gen_graphs(args)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for g in graphs:
@@ -148,21 +157,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _parse_all_k(spec: str) -> list[int]:
-    lo, _, hi = spec.partition("..")
-    return list(range(int(lo), int(hi) + 1))
+    """A range 'lo..hi' with 1 <= lo <= hi."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        ks = []
+    if not sep or not ks or ks[0] < 1:
+        raise BadParameter(f"--all-k expects a range like 1..4, got {spec!r}")
+    return ks
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    sink = sys.stdout
+    ks = _parse_all_k(args.all_k) if args.all_k else None
     with _open_input(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                _emit(sink, {"line": lineno, "error": err})
-                continue
+        for lineno, _, g in _read_graphs(stream):
             start = time.monotonic()
             rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
-            if args.all_k:
-                for k in _parse_all_k(args.all_k):
+            if ks:
+                for k in ks:
                     rec[f"nu{k}"] = exact.nu_k(g, k).value
             else:
                 res = exact.nu_k(g, args.k)
@@ -172,27 +185,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     rec["certificate"] = {
                         str(e): c for e, c in sorted(res.certificate.assignment.items())
                     }
-            rec["runtime_ms"] = int((time.monotonic() - start) * 1000)
-            _emit(sink, rec)
+            rec["runtime_ms"] = _ms_since(start)
+            gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    sink = sys.stdout
     with _open_input(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                _emit(sink, {"line": lineno, "error": err})
-                continue
+        for lineno, _, g in _read_graphs(stream):
             start = time.monotonic()
             rec = {"line": lineno, "graph_id": f"line{lineno}", "k": args.k}
             try:
                 rec["nu"] = oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges)
             except TooLarge as exc:
-                _emit(sink, {"line": lineno, "error": str(exc)})
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
                 continue
-            rec["runtime_ms"] = int((time.monotonic() - start) * 1000)
-            _emit(sink, rec)
+            rec["runtime_ms"] = _ms_since(start)
+            gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
 
@@ -200,26 +209,20 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # profile / verify / hunt / decompose
 
 
-def _profile_record(lineno: int, g: MultiGraph, ks) -> gio.ReportRecord:
-    start = time.monotonic()
-    profile = compute_profile(g, ks=ks)
-    return gio.ReportRecord(
-        graph_id=f"line{lineno}",
-        format="sparse6",
-        profile=profile_as_dict(profile),
-        rule_reports=(),
-        runtime_ms=int((time.monotonic() - start) * 1000),
-    )
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k)
     with _open_input(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                _emit(sys.stdout, {"line": lineno, "error": err})
-                continue
-            gio.emit_report([_profile_record(lineno, g, ks)], sys.stdout)
+        for lineno, fmt, g in _read_graphs(stream):
+            start = time.monotonic()
+            profile = compute_profile(g, ks=ks)
+            rec = gio.ReportRecord(
+                graph_id=f"line{lineno}",
+                format=fmt,
+                profile=profile_as_dict(profile),
+                runtime_ms=_ms_since(start),
+                line=lineno,
+            )
+            gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
 
@@ -232,8 +235,8 @@ def _report_dict(rep: rules.RuleReport) -> dict:
     if rep.applicable:
         out["holds"] = rep.holds
         out["tight"] = rep.tight
-        out["lhs"] = gio.serialize_rational(rep.lhs)
-        out["rhs"] = gio.serialize_rational(rep.rhs)
+        out["lhs"] = rep.lhs
+        out["rhs"] = rep.rhs
     if rep.k is not None:
         out["k"] = rep.k
     if rep.note:
@@ -243,38 +246,36 @@ def _report_dict(rep: rules.RuleReport) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rule_ids = args.rules.split(",") if args.rules else None
-    worst = EXIT_OK
     ks = _parse_all_k(args.all_k)
+    worst = EXIT_OK
     with _open_input(args.input) as stream:
         if args.profiles:
-            items = []
-            for lineno, raw in enumerate(stream, start=1):
-                if raw.strip():
-                    obj = json.loads(raw)
-                    prof = obj.get("profile", obj)
-                    items.append((lineno, profile_from_dict(prof)))
+            items = _read_profiles(stream)
         else:
-            items = [
+            items = (
                 (lineno, compute_profile(g, ks=ks))
-                for lineno, g, err in _read_graphs(stream)
-                if g is not None
-            ]
-    for lineno, profile in items:
-        reports = rules.evaluate_all(profile, rule_ids)
-        for rep in reports:
-            if rep.applicable and rep.holds is False:
-                if rep.kind in _THEOREM_KINDS:
-                    worst = EXIT_THEOREM
-                elif worst == EXIT_OK:
-                    worst = EXIT_CONJECTURE
-        _emit(
-            sys.stdout,
-            {
-                "line": lineno,
-                "graph_id": f"line{lineno}",
-                "rule_reports": [_report_dict(r) for r in reports],
-            },
-        )
+                for lineno, _, g in _read_graphs(stream)
+            )
+        for lineno, profile in items:
+            try:
+                reports = rules.evaluate_all(profile, rule_ids)
+            except MissingProfileField as exc:
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+                continue
+            for rep in reports:
+                if rep.applicable and rep.holds is False:
+                    if rep.kind in rules.THEOREM_KINDS:
+                        worst = EXIT_THEOREM
+                    elif worst == EXIT_OK:
+                        worst = EXIT_CONJECTURE
+            gio.write_record(
+                sys.stdout,
+                {
+                    "line": lineno,
+                    "graph_id": f"line{lineno}",
+                    "rule_reports": [_report_dict(r) for r in reports],
+                },
+            )
     return worst
 
 
@@ -284,7 +285,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     if bad:
         print(f"hunt: not conjecture rules: {sorted(bad)}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(
+    ks = _parse_all_k(args.all_k)
+    gio.write_record(
         sys.stdout,
         {
             "header": True,
@@ -296,22 +298,19 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         },
     )
     found = False
-    ks = _parse_all_k(args.all_k)
     with _open_input(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                continue
+        for lineno, _, g in _read_graphs(stream):
             if args.budget is not None and lineno > args.budget:
                 break
             try:
                 profile = compute_profile(g, ks=ks)
             except NuLabError as exc:
-                _emit(sys.stdout, {"line": lineno, "error": str(exc)})
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
                 continue
             for rep in rules.evaluate_all(profile, rule_ids):
                 if rep.applicable and rep.holds is False:
                     found = True
-                    _emit(
+                    gio.write_record(
                         sys.stdout,
                         {
                             "line": lineno,
@@ -327,15 +326,12 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     with _open_input(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                _emit(sys.stdout, {"line": lineno, "error": err})
-                continue
+        for lineno, _, g in _read_graphs(stream):
             rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
             try:
                 dec = structure.oum_decompose(g)
             except NotInClass as exc:
-                _emit(sys.stdout, rec | {"error": str(exc)})
+                gio.write_record(sys.stdout, rec | {"error": str(exc)})
                 continue
             rec["variant"] = dec.variant.value
             rec["base_n"] = dec.base_graph.n
@@ -343,7 +339,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             rec["diamonds"] = dec.total_diamonds
             if args.r3:
                 rec["r3"] = structure.r3_via_reduction(g)
-            _emit(sys.stdout, rec)
+            gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
 
@@ -414,7 +410,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     _worker_cap()
     try:
         return args.func(args)
-    except OSError as exc:
+    except (BadParameter, UnknownFamily) as exc:
+        print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, SinkWriteError) as exc:
         print(f"nulab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,6 +15,7 @@ from typing import Iterator
 
 import networkx as nx
 
+from .errors import BadParameter
 from .graph import MultiGraph
 
 
@@ -114,7 +115,7 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     top of it, and deduplicate by isomorphism.
     """
     if max_n > 14:
-        raise ValueError("PM-based cubic enumeration is valid only up to n = 14")
+        raise BadParameter("PM-based cubic enumeration is valid only up to n = 14")
     out: list[MultiGraph] = []
     for n in range(4, max_n + 1, 2):
         buckets: dict[tuple, list[tuple[MultiGraph, nx.Graph]]] = {}

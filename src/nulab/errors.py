@@ -61,8 +61,8 @@ class NotInClass(NuLabError):
     """Input graph fails a structural precondition; the message names it."""
 
 
-class BadParameter(NuLabError):
-    pass
+class BadParameter(NuLabError, ValueError):
+    """A parameter is out of its valid range (also a ValueError)."""
 
 
 class UnknownFamily(NuLabError):

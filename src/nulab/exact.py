@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from . import poly
-from .errors import NotABridge, NotCubic
+from .errors import BadParameter, NotABridge, NotCubic
 from .graph import MultiGraph
 from .matching import max_matching
 
@@ -223,24 +223,12 @@ def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
     return assign
 
 
-def _capacity_bound(h: MultiGraph, cap: Sequence[int], k: int) -> int:
-    deg = h.degrees()
-    return sum(min(cap[v], deg[v]) for v in range(h.n)) // 2
-
-
-def _matching_bound(h: MultiGraph, cap: Sequence[int], k: int) -> int:
-    ok = [eid for eid, (u, v) in enumerate(h.edges) if cap[u] > 0 and cap[v] > 0]
-    if len(ok) < h.m:
-        h = h.without_edges(set(range(h.m)) - set(ok))
-    return k * len(max_matching(h))
-
-
 def _solve_bb(
     h: MultiGraph, cap: Sequence[int], k: int
 ) -> tuple[int, dict[int, int], int]:
     """Exact capped optimum on one residual component via ascending
     decision searches."""
-    upper = min(h.m, _capacity_bound(h, cap, k), _matching_bound(h, cap, k))
+    upper = upper_bound(h, k, cap=cap)
     best = _greedy_peel(h, cap, k)
     low = len(best)
     counter = [0]
@@ -262,40 +250,22 @@ def reduce_pendant(g: MultiGraph, k: int) -> set[int]:
     """Maximal iteratively forced pendant edge set: each forced edge can
     be assumed colored in some optimum, consuming one color slot at its
     inner endpoint."""
-    forced, _, _ = _pendant_reduce(g, [k] * g.n)
+    forced, _ = _pendant_reduce(g, [k] * g.n)
     return set(forced)
 
 
-def _pendant_reduce(
-    g: MultiGraph, cap: list[int]
-) -> tuple[list[int], set[int], list[int]]:
-    """Strip degree-1 vertices.  Returns (forced edge ids in forcing
-    order, dropped edge ids, surviving edge ids); mutates cap."""
-    deg = list(g.degrees())
-    alive = [True] * g.m
+def _pendant_reduce(g: MultiGraph, cap: list[int]) -> tuple[list[int], list[int]]:
+    """Strip pendant edges, forcing each one whose endpoints both still
+    have a free slot.  Returns (forced edge ids in forcing order,
+    surviving edge ids); mutates cap."""
+    peeled, survivors = g.strip_pendants()
     forced: list[int] = []
-    dropped: set[int] = set()
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    while queue:
-        v = queue.pop()
-        if deg[v] != 1:
-            continue
-        eid = next(e for e, _ in g.incident(v) if alive[e])
-        a, b = g.endpoints(eid)
-        w = b if v == a else a
-        alive[eid] = False
-        deg[v] -= 1
-        deg[w] -= 1
-        if cap[v] >= 1 and cap[w] >= 1:
+    for eid, leaf, inner in peeled:
+        if cap[leaf] >= 1 and cap[inner] >= 1:
             forced.append(eid)
-            cap[v] -= 1
-            cap[w] -= 1
-        else:
-            dropped.add(eid)
-        if deg[w] == 1:
-            queue.append(w)
-    survivors = [e for e in range(g.m) if alive[e]]
-    return forced, dropped, survivors
+            cap[leaf] -= 1
+            cap[inner] -= 1
+    return forced, survivors
 
 
 def _color_forced(
@@ -323,35 +293,26 @@ def _solve_component(
     sub: MultiGraph, k: int, use_poly: bool
 ) -> tuple[int, dict[int, int], int]:
     cap = [k] * sub.n
-    forced, _dropped, survivors = _pendant_reduce(sub, cap)
+    forced, survivors = _pendant_reduce(sub, cap)
     assign: dict[int, int] = {}
     value = len(forced)
     nodes = 0
     if survivors:
         res = MultiGraph(sub.n, [sub.edges[e] for e in survivors])
-        back = dict(enumerate(survivors))
-        if use_poly and not poly._has_rank2_component(res):
+        parts = [p for p in res.split_components() if p.edge_ids]
+        if use_poly and all(p.cycle_rank <= 1 for p in parts):
             opt = poly.best_degree_bounded(res, k, cap)
             res_assign = poly.color_sparse_subgraph(res, opt.chosen_edges, k)
             value += opt.value
         else:
             res_assign = {}
-            for comp in res.components():
-                vs = set(comp)
-                ids = [e for e, (u, _) in enumerate(res.edges) if u in vs]
-                if not ids:
-                    continue
-                idx = {v: i for i, v in enumerate(comp)}
-                cs = MultiGraph(
-                    len(comp), [(idx[u], idx[v]) for u, v in (res.edges[e] for e in ids)]
-                )
-                ccap = [cap[v] for v in comp]
-                cval, cassign, cnodes = _solve_bb(cs, ccap, k)
+            for p in parts:
+                pcap = [cap[v] for v in p.vertices]
+                cval, cassign, cnodes = _solve_bb(p.graph, pcap, k)
                 value += cval
                 nodes += cnodes
-                for ce, c in cassign.items():
-                    res_assign[ids[ce]] = c
-        assign.update({back[e]: c for e, c in res_assign.items()})
+                res_assign.update({p.edge_ids[e]: c for e, c in cassign.items()})
+        assign.update({survivors[e]: c for e, c in res_assign.items()})
     _color_forced(sub, forced, k, assign)
     return value, assign, nodes
 
@@ -359,7 +320,7 @@ def _solve_component(
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     """Exact nu_k(g) with a verifying certificate."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParameter("k must be positive")
     if g.m == 0:
         return NuResult(0, ColorClasses(k), 0)
     cubic = g.n > 0 and all(d == 3 for d in g.degrees())
@@ -373,19 +334,13 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     total = 0
     assign: dict[int, int] = {}
     nodes = 0
-    for comp in g.components():
-        vs = set(comp)
-        ids = [e for e, (u, _) in enumerate(g.edges) if u in vs]
-        if not ids:
+    for comp in g.split_components():
+        if not comp.edge_ids:
             continue
-        idx = {v: i for i, v in enumerate(comp)}
-        sub = MultiGraph(
-            len(comp), [(idx[u], idx[v]) for u, v in (g.edges[e] for e in ids)]
-        )
-        cval, cassign, cnodes = _solve_component(sub, k, use_poly)
+        cval, cassign, cnodes = _solve_component(comp.graph, k, use_poly)
         total += cval
         nodes += cnodes
-        assign.update({ids[e]: c for e, c in cassign.items()})
+        assign.update({comp.edge_ids[e]: c for e, c in cassign.items()})
     return NuResult(total, ColorClasses(k, assign), nodes)
 
 
@@ -396,25 +351,31 @@ def resistance_r3(g: MultiGraph) -> int:
     return g.m - nu_k(g, 3).value
 
 
-def upper_bound(g: MultiGraph, k: int, partial: Optional[ColorClasses] = None) -> int:
+def upper_bound(
+    g: MultiGraph,
+    k: int,
+    partial: Optional[ColorClasses] = None,
+    cap: Optional[Sequence[int]] = None,
+) -> int:
     """Admissible bound on the best completion of a proper partial
-    coloring: capacity and matching bounds, adjusted for colored edges."""
-    if partial is None:
-        partial = ColorClasses(k)
-    colored = partial.colored_count
+    coloring in which vertex v takes at most cap[v] (default k) colored
+    edges: the smaller of the capacity bound, adjusted for colored
+    edges, and k times a maximum matching of the edges whose endpoints
+    both have capacity."""
+    if cap is None:
+        cap = [k] * g.n
+    colored = partial.assignment if partial is not None else {}
     cdeg = [0] * g.n
-    for eid in partial.assignment:
-        for v in g.endpoints(eid):
-            cdeg[v] += 1
     udeg = [0] * g.n
-    for eid in range(g.m):
-        if eid not in partial.assignment:
-            for v in g.endpoints(eid):
-                udeg[v] += 1
-    s = sum(min(k - cdeg[v], udeg[v]) for v in range(g.n))
-    cap_bound = colored + min(g.m - colored, s // 2)
-    match_bound = k * len(max_matching(g))
-    return min(cap_bound, match_bound)
+    for eid, (u, v) in enumerate(g.edges):
+        deg = cdeg if eid in colored else udeg
+        deg[u] += 1
+        deg[v] += 1
+    s = sum(min(cap[v] - cdeg[v], udeg[v]) for v in range(g.n))
+    cap_bound = len(colored) + min(g.m - len(colored), s // 2)
+    blocked = [eid for eid, (u, v) in enumerate(g.edges) if cap[u] == 0 or cap[v] == 0]
+    matchable = g.without_edges(blocked) if blocked else g
+    return min(cap_bound, k * len(max_matching(matchable)))
 
 
 def decompose_bridge(g: MultiGraph, eid: int, k: int) -> int:
@@ -424,30 +385,15 @@ def decompose_bridge(g: MultiGraph, eid: int, k: int) -> int:
     if eid not in g.bridges():
         raise NotABridge(f"edge {eid} is not a bridge")
     u, v = g.endpoints(eid)
-    h = g.without_edges([eid])
-    comps = h.components()
-    side_a = next(c for c in comps if u in c)
-    side_b = next(c for c in comps if v in c)
-
-    def pieces(side: list[int], attach: int) -> tuple[MultiGraph, MultiGraph]:
-        idx = {w: i for i, w in enumerate(side)}
-        edges = [
-            (idx[a], idx[b])
-            for i, (a, b) in enumerate(g.edges)
-            if i != eid and a in idx and b in idx
-        ]
-        plain = MultiGraph(len(side), edges)
-        pend = MultiGraph(len(side) + 1, edges + [(idx[attach], len(side))])
-        return plain, pend
-
-    g1, g1e = pieces(side_a, u)
-    g2, g2e = pieces(side_b, v)
-    without = nu_k(g1, k).value + nu_k(g2, k).value
-    with_e = nu_k(g1e, k).value + nu_k(g2e, k).value - 1
-    # components not touching the bridge contribute independently
-    rest = sum(
-        nu_k(g.induced(c), k).value
-        for c in comps
-        if c is not side_a and c is not side_b
-    )
+    without, with_e, rest = 0, -1, 0  # with_e counts the bridge on both sides
+    for comp in g.without_edges([eid]).split_components():
+        h = comp.graph
+        value = nu_k(h, k).value
+        end = next((w for w in (u, v) if w in comp.vertices), None)
+        if end is None:  # components not touching the bridge contribute independently
+            rest += value
+            continue
+        pendant = MultiGraph(h.n + 1, h.edges + ((comp.vertices.index(end), h.n),))
+        without += value
+        with_e += nu_k(pendant, k).value
     return max(without, with_e) + rest

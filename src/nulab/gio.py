@@ -3,8 +3,9 @@
 The codecs follow the published nauty format description bit for bit
 (including sparse6's corner-case padding when n is a power of two).
 graph6 covers simple graphs; sparse6 is the multigraph wire format.
-Reports are emitted one JSON object per line with every rational value
-serialized as an exact fraction string "p/q" in lowest terms.
+Records are written one JSON object per line by write_record, with every
+integer and rational serialized as an exact string ("p/q" in lowest
+terms for a non-integer).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, TextIO
+from typing import Any, Iterable, Mapping, Optional, TextIO
 
 from .errors import LoopRejected, MalformedGraph6, MalformedSparse6, SinkWriteError
 from .graph import MultiGraph
@@ -194,6 +195,7 @@ class ReportRecord:
     profile: Mapping[str, Any]
     rule_reports: tuple = ()
     runtime_ms: int = 0
+    line: Optional[int] = None
 
 
 def serialize_rational(x) -> str:
@@ -222,17 +224,17 @@ def _jsonable(value):
     return value
 
 
+def write_record(sink: TextIO, record: Any) -> None:
+    """Write one record (a mapping or dataclass) as a JSON line.  Every
+    integer and rational becomes an exact string; booleans, strings and
+    None stay as they are."""
+    try:
+        sink.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+    except OSError as exc:
+        raise SinkWriteError(str(exc)) from exc
+
+
 def emit_report(records: Iterable[ReportRecord], sink: TextIO) -> None:
     """One JSON object per record, newline-delimited."""
     for rec in records:
-        obj = {
-            "graph_id": rec.graph_id,
-            "format": rec.format,
-            "profile": _jsonable(rec.profile),
-            "rule_reports": _jsonable(list(rec.rule_reports)),
-            "runtime_ms": rec.runtime_ms,
-        }
-        try:
-            sink.write(json.dumps(obj, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise SinkWriteError(str(exc)) from exc
+        write_record(sink, rec)

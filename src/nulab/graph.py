@@ -8,7 +8,7 @@ first-class; loops are rejected at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, LoopRejected
 
@@ -22,6 +22,20 @@ class StructureFlags:
     cycle_rank: int
     is_tree: bool
     is_unicyclic: bool
+
+
+class Component(NamedTuple):
+    """One connected component: its sorted vertices, its edge ids in
+    ascending order, and the subgraph relabelled so that vertex i is
+    vertices[i] and edge i is edge_ids[i]."""
+
+    vertices: list[int]
+    edge_ids: list[int]
+    graph: "MultiGraph"
+
+    @property
+    def cycle_rank(self) -> int:
+        return len(self.edge_ids) - len(self.vertices) + 1
 
 
 class MultiGraph:
@@ -132,6 +146,29 @@ class MultiGraph:
             comps.append(sorted(comp))
         return comps
 
+    def split_components(self) -> list[Component]:
+        """Components in the order of components(), each relabelled.
+
+        Relabelling is monotone in vertex and edge ids, so orders that
+        break ties by id are the same in the subgraph as in the graph.
+        """
+        comps = self.components()
+        comp_of = [0] * self.n
+        index = [0] * self.n
+        for ci, comp in enumerate(comps):
+            for i, v in enumerate(comp):
+                comp_of[v] = ci
+                index[v] = i
+        ids: list[list[int]] = [[] for _ in comps]
+        local: list[list[tuple[int, int]]] = [[] for _ in comps]
+        for eid, (u, v) in enumerate(self.edges):
+            ids[comp_of[u]].append(eid)
+            local[comp_of[u]].append((index[u], index[v]))
+        return [
+            Component(comp, cids, MultiGraph(len(comp), edges))
+            for comp, cids, edges in zip(comps, ids, local)
+        ]
+
     def component_count(self) -> int:
         return len(self.components())
 
@@ -199,6 +236,60 @@ class MultiGraph:
             is_tree=connected and rank == 0,
             is_unicyclic=connected and rank == 1,
         )
+
+    def strip_pendants(self) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """Iteratively delete degree-1 vertices.
+
+        Returns the stripped edges as (edge id, leaf, inner endpoint) in
+        stripping order, and the surviving edge ids in ascending order:
+        the edges on or between cycles.  Leaves are taken last in, first
+        out, starting from the initial leaves in vertex order.
+        """
+        deg = list(self._degrees)
+        alive = [True] * self.m
+        peeled: list[tuple[int, int, int]] = []
+        queue = [v for v in range(self.n) if deg[v] == 1]
+        while queue:
+            v = queue.pop()
+            if deg[v] != 1:
+                continue
+            eid, w = next((e, w) for e, w in self._adj[v] if alive[e])
+            alive[eid] = False
+            deg[v] -= 1
+            deg[w] -= 1
+            peeled.append((eid, v, w))
+            if deg[w] == 1:
+                queue.append(w)
+        return peeled, [e for e in range(self.m) if alive[e]]
+
+    def walk_cycles(self, edge_ids: Sequence[int]) -> list[tuple[int, ...]]:
+        """The cycles of an edge set in which every vertex has degree 0 or
+        2, each as a tuple of edge ids in walking order; a parallel pair
+        is a 2-cycle.  A cycle starts with its first edge in edge_ids,
+        leaving that edge's smaller endpoint, and continues at each vertex
+        along the vertex's other edge.
+        """
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for eid in edge_ids:
+            u, v = self.edges[eid]
+            inc[u].append(eid)
+            inc[v].append(eid)
+        used = [False] * self.m
+        cycles: list[tuple[int, ...]] = []
+        for start in edge_ids:
+            if used[start]:
+                continue
+            cycle = []
+            eid, v = start, self.edges[start][0]
+            while not used[eid]:
+                used[eid] = True
+                cycle.append(eid)
+                a, b = self.edges[eid]
+                v = b if v == a else a
+                e1, e2 = inc[v]
+                eid = e2 if e1 == eid else e1
+            cycles.append(tuple(cycle))
+        return cycles
 
     # -- derived graphs ------------------------------------------------
 

@@ -96,30 +96,7 @@ def two_factor_from_pm(g: MultiGraph, pm: Matching) -> TwoFactor:
     if len(pm.edge_ids) != g.n // 2 or any(c != 1 for c in covered):
         raise NotPerfect("matching does not cover every vertex exactly once")
     rest = [eid for eid in range(g.m) if eid not in pm.edge_ids]
-    # walk the 2-regular remainder
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for eid in rest:
-        u, v = g.endpoints(eid)
-        inc[u].append(eid)
-        inc[v].append(eid)
-    seen_edge = [False] * g.m
-    cycles: list[tuple[int, ...]] = []
-    for start_eid in rest:
-        if seen_edge[start_eid]:
-            continue
-        cyc = []
-        eid = start_eid
-        v = g.endpoints(eid)[0]
-        while not seen_edge[eid]:
-            seen_edge[eid] = True
-            cyc.append(eid)
-            a, b = g.endpoints(eid)
-            v = b if v == a else a
-            nxt = [f for f in inc[v] if not seen_edge[f]]
-            if not nxt:
-                break
-            eid = nxt[0]
-        cycles.append(tuple(cyc))
+    cycles = g.walk_cycles(rest)
     odd = sum(1 for c in cycles if len(c) % 2 == 1)
     return TwoFactor(frozenset(rest), tuple(cycles), odd)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import TooLarge
+from .errors import BadParameter, TooLarge
 from .graph import MultiGraph
 
 DEFAULT_MAX_EDGES = 12
@@ -43,7 +43,7 @@ def _subset_colorable(g: MultiGraph, subset: tuple[int, ...], k: int) -> bool:
 def nu_k_oracle(g: MultiGraph, k: int, max_edges: int = DEFAULT_MAX_EDGES) -> int:
     """Exhaustive nu_k: largest k-edge-colorable edge subset."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParameter("k must be positive")
     m = g.m
     if m > max_edges:
         raise TooLarge(f"oracle limited to {max_edges} edges, got {m}")

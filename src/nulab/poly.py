@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DeficiencyUndefined, NotAForest, NotUnicyclic
+from .errors import BadParameter, DeficiencyUndefined, NotAForest, NotUnicyclic
 from .graph import MultiGraph
-
-_NEG = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -75,16 +73,15 @@ def _forest_dp(
                 if eid == pe:
                     continue
                 g0 = f[(w, 0)][0]
-                g1 = f[(w, 1)][0] if cap[w] >= 1 else _NEG
                 base += g0
-                gain = (1 + g1) - g0 if g1 != _NEG else _NEG
-                if gain > 0:
-                    gains.append((gain, eid))
+                if cap[w] >= 1:  # else w cannot take its parent edge
+                    gain = 1 + f[(w, 1)][0] - g0
+                    if gain > 0:
+                        gains.append((gain, eid))
             gains.sort(key=lambda t: (-t[0], t[1]))
             for b in (0, 1):
                 c = cap[v] - b
-                if c < 0:
-                    f[(v, b)] = (_NEG, [])
+                if c < 0:  # state never read: the parent edge is not offered
                     continue
                 take = gains[:c]
                 f[(v, b)] = (base + sum(t[0] for t in take), [t[1] for t in take])
@@ -106,26 +103,9 @@ def _forest_dp(
 
 def find_cycle(g: MultiGraph) -> tuple[list[int], list[int]]:
     """Cycle edges and cycle vertices of a graph whose every component
-    has cycle rank <= 1, via iterated pendant stripping.  Handles the
-    2-cycle formed by a parallel pair."""
-    deg = list(g.degrees())
-    alive_e = [True] * g.m
-    alive_v = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    inc = [list(g.incident(v)) for v in range(g.n)]
-    while queue:
-        v = queue.pop()
-        if not alive_v[v] or deg[v] != 1:
-            continue
-        alive_v[v] = False
-        for eid, w in inc[v]:
-            if alive_e[eid]:
-                alive_e[eid] = False
-                deg[v] -= 1
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    cyc_edges = [eid for eid in range(g.m) if alive_e[eid]]
+    has cycle rank <= 1: the edges that survive pendant stripping.
+    Handles the 2-cycle formed by a parallel pair."""
+    _, cyc_edges = g.strip_pendants()
     cyc_vertices = sorted({u for eid in cyc_edges for u in g.endpoints(eid)})
     return cyc_edges, cyc_vertices
 
@@ -136,75 +116,45 @@ def best_degree_bounded(
     """Maximum k-edge-colorable subgraph of a graph whose components all
     have cycle rank <= 1, with optional per-vertex caps (<= k)."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadParameter("k must be positive")
     if cap is None:
         cap = [k] * g.n
-    if _has_rank2_component(g):
+    parts = [p for p in g.split_components() if p.edge_ids]
+    if any(p.cycle_rank > 1 for p in parts):
         raise NotUnicyclic("a component contains more than one cycle")
-
-    cyc_edges, cyc_vertices = find_cycle(g)
-    all_edges = set(range(g.m))
-    if not cyc_edges:
-        value, chosen = _forest_dp(g, all_edges, cap)
-        return DegreeBoundedOptimum(value, frozenset(chosen))
-
-    # group cycle edges by component
-    comp_of = [0] * g.n
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = ci
-    by_comp: dict[int, list[int]] = {}
-    for eid in cyc_edges:
-        by_comp.setdefault(comp_of[g.endpoints(eid)[0]], []).append(eid)
-
-    # exclusion candidates: for each cyclic component, dropping one cycle
-    # edge makes everything a forest.  Evaluate the product space greedily:
-    # components are independent, so optimize each separately.
     value = 0
     chosen: set[int] = set()
-    handled_edges: set[int] = set()
-    for ci, comp in enumerate(g.components()):
-        comp_vs = set(comp)
-        comp_edges = {
-            eid
-            for eid in all_edges
-            if g.endpoints(eid)[0] in comp_vs
-        }
-        handled_edges |= comp_edges
-        comp_cyc = by_comp.get(ci, [])
-        if not comp_cyc:
-            v0, ch = _forest_dp(g, comp_edges, cap)
-            value += v0
-            chosen |= ch
-            continue
-        best_v, best_ch = _NEG, set()
-        for e in comp_cyc:
-            v0, ch = _forest_dp(g, comp_edges - {e}, cap)
-            if v0 > best_v:
-                best_v, best_ch = v0, ch
-        l = len(comp_cyc)
-        odd = l % 2 == 1
-        if k >= 3 or (k == 2 and not odd):
-            cvs = {u for eid in comp_cyc for u in g.endpoints(eid)}
-            if all(cap[v] >= 2 for v in cvs):
-                cap2 = list(cap)
-                for v in cvs:
-                    cap2[v] -= 2
-                v0, ch = _forest_dp(g, comp_edges - set(comp_cyc), cap2)
-                if l + v0 > best_v:
-                    best_v, best_ch = l + v0, ch | set(comp_cyc)
-        value += best_v
-        chosen |= best_ch
-    return DegreeBoundedOptimum(int(value), frozenset(chosen))
+    # components are independent, so each is optimized separately
+    for p in parts:
+        v0, ch = _component_optimum(p.graph, k, [cap[v] for v in p.vertices])
+        value += v0
+        chosen.update(p.edge_ids[e] for e in ch)
+    return DegreeBoundedOptimum(value, frozenset(chosen))
 
 
-def _has_rank2_component(g: MultiGraph) -> bool:
-    for comp in g.components():
-        vs = set(comp)
-        m = sum(1 for (u, v) in g.edges if u in vs)
-        if m - len(comp) + 1 > 1:
-            return True
-    return False
+def _component_optimum(
+    h: MultiGraph, k: int, cap: Sequence[int]
+) -> tuple[int, set[int]]:
+    """best_degree_bounded on one connected graph of cycle rank <= 1:
+    the best of dropping one cycle edge (a forest) and keeping the whole
+    cycle (colorable unless k = 2 and it is odd), which leaves a forest
+    with caps lowered by 2 on the cycle."""
+    all_edges = set(range(h.m))
+    cyc, cvs = find_cycle(h)
+    if not cyc:
+        return _forest_dp(h, all_edges, cap)
+    best = max(
+        (_forest_dp(h, all_edges - {e}, cap) for e in cyc), key=lambda t: t[0]
+    )
+    l = len(cyc)
+    if (k >= 3 or (k == 2 and l % 2 == 0)) and all(cap[v] >= 2 for v in cvs):
+        cap2 = list(cap)
+        for v in cvs:
+            cap2[v] -= 2
+        v0, ch = _forest_dp(h, all_edges - set(cyc), cap2)
+        if l + v0 > best[0]:
+            best = (l + v0, ch | set(cyc))
+    return best
 
 
 def nu_k_tree(t: MultiGraph, k: int) -> int:
@@ -237,37 +187,20 @@ def cycle_deficiency(g: MultiGraph, k: int) -> CycleDeficiency:
             raise DeficiencyUndefined(
                 f"vertex {v} keeps degree {need} > k even with all cycle edges removed"
             )
-    # demands: vertex v on C needs at least deg[v] - k incident cycle edges removed
-    order = _cycle_vertex_order(g, cyc_edges)
-    demand = [max(0, deg[v] - k) for v in order]
+    # demands: vertex v on C needs at least deg[v] - k incident cycle edges
+    # removed; vertex i sits between cycle edges i-1 and i
+    (cycle,) = g.walk_cycles(cyc_edges)
+    v = g.endpoints(cycle[0])[0]
+    demand = []
+    for eid in cycle:
+        demand.append(max(0, deg[v] - k))
+        a, b = g.endpoints(eid)
+        v = b if v == a else a
     x = _min_cycle_cover(demand)
     if x == 0 and k == 2 and g.m == g.n and l % 2 == 1 and l == g.m:
         # the graph is itself an odd cycle: 2 colors need one removal
         x = 1
     return CycleDeficiency(k, x)
-
-
-def _cycle_vertex_order(g: MultiGraph, cyc_edges: list[int]) -> list[int]:
-    """Cycle vertices in traversal order, aligned so that vertex i sits
-    between returned edge order positions i-1 and i."""
-    if len(cyc_edges) == 2:  # parallel pair
-        return list(g.endpoints(cyc_edges[0]))
-    inc: dict[int, list[int]] = {}
-    for eid in cyc_edges:
-        for v in g.endpoints(eid):
-            inc.setdefault(v, []).append(eid)
-    start_e = cyc_edges[0]
-    v = g.endpoints(start_e)[0]
-    order = []
-    eid = start_e
-    used = set()
-    while eid not in used:
-        used.add(eid)
-        order.append(v)
-        a, b = g.endpoints(eid)
-        v = b if v == a else a
-        eid = next(f for f in inc[v] if f not in used) if len(used) < len(cyc_edges) else start_e
-    return order
 
 
 def _min_cycle_cover(demand: list[int]) -> int:
@@ -319,27 +252,14 @@ def color_sparse_subgraph(
     colors: dict[int, int] = {}
     used: list[set[int]] = [set() for _ in range(g.n)]
 
-    sub = MultiGraph(g.n, [g.endpoints(e) for e in sorted(chosen)])
-    id_map = dict(enumerate(sorted(chosen)))
-    cyc_sub, _ = find_cycle(sub)
-    cyc_edges = [id_map[e] for e in cyc_sub]
-
-    # group cycle edges per component and color them first
-    comp_of = {}
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = ci
-    cyc_by_comp: dict[int, list[int]] = {}
-    for eid in cyc_edges:
-        cyc_by_comp.setdefault(comp_of[g.endpoints(eid)[0]], []).append(eid)
-    for comp_cyc in cyc_by_comp.values():
-        ordered = _order_cycle_edges(g, comp_cyc)
-        l = len(ordered)
-        for i, eid in enumerate(ordered):
-            if i == l - 1 and l % 2 == 1:
-                c = 3
-            else:
-                c = 1 + (i % 2)
+    # color each cycle first, alternating, with color 3 closing an odd one
+    ordered = sorted(chosen)
+    sub = MultiGraph(g.n, [g.endpoints(e) for e in ordered])
+    for cycle in sub.walk_cycles(find_cycle(sub)[0]):
+        l = len(cycle)
+        for i, se in enumerate(cycle):
+            c = 3 if i == l - 1 and l % 2 == 1 else 1 + (i % 2)
+            eid = ordered[se]
             colors[eid] = c
             u, v = g.endpoints(eid)
             used[u].add(c)
@@ -372,20 +292,3 @@ def color_sparse_subgraph(
                     seen[w] = True
                     frontier.append(w)
     return colors
-
-
-def _order_cycle_edges(g: MultiGraph, cyc: list[int]) -> list[int]:
-    if len(cyc) == 2:
-        return list(cyc)
-    inc: dict[int, list[int]] = {}
-    for eid in cyc:
-        for v in g.endpoints(eid):
-            inc.setdefault(v, []).append(eid)
-    out = [cyc[0]]
-    v = g.endpoints(cyc[0])[1]
-    while len(out) < len(cyc):
-        nxt = next(f for f in inc[v] if f not in out)
-        out.append(nxt)
-        a, b = g.endpoints(nxt)
-        v = b if v == a else a
-    return out

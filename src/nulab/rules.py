@@ -349,6 +349,10 @@ RULE_IDS: tuple[str, ...] = tuple(r.rule_id for r in REGISTRY)
 CONJECTURE_IDS: tuple[str, ...] = tuple(
     r.rule_id for r in REGISTRY if r.kind == "conjecture"
 )
+# kinds whose violation signals a solver or corpus bug, not mathematics
+THEOREM_KINDS: frozenset[str] = frozenset(
+    r.kind for r in REGISTRY if r.kind != "conjecture"
+)
 
 
 def evaluate_all(

@@ -214,3 +214,73 @@ def test_worker_cap_env(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli.main(["gen", "k4"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "0"],
+        ["solve", "--all-k", "1-4"],
+        ["profile", "--all-k", "0..2"],
+        ["verify", "--all-k", "3..1"],
+    ],
+)
+def test_bad_parameters_exit_1(tmp_path, capsys, argv):
+    path = _write_graphs(tmp_path / "g.s6", [families.k4()])
+    assert cli.main([argv[0], path, *argv[1:]]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(argv[0] + ": ")
+
+
+def test_gen_cubic_beyond_cap_exits_1(capsys):
+    assert cli.main(["gen", "cubic", "--max-n", "16"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "14" in out.err
+
+
+def test_verify_reports_bad_lines(tmp_path, capsys):
+    path = tmp_path / "g.s6"
+    path.write_text(gio.emit_sparse6(families.k4()) + "\nnot-a-graph6-line{}\n")
+    code, recs, _ = _run(capsys, ["verify", str(path)])
+    assert code == cli.EXIT_OK
+    assert [r["line"] for r in recs] == ["1", "2"]
+    assert "rule_reports" in recs[0]
+    assert "error" in recs[1]
+
+
+def test_verify_profiles_reports_bad_json(tmp_path, capsys):
+    path = _write_graphs(tmp_path / "g.s6", [families.k4()])
+    _, recs, _ = _run(capsys, ["profile", path])
+    pfile = tmp_path / "profiles.jsonl"
+    cubic_without_nu2 = {k: v for k, v in recs[0]["profile"].items() if k != "nu2"}
+    pfile.write_text(
+        "{not json\n"
+        + json.dumps(recs[0]) + "\n"
+        + "[1, 2]\n"
+        + json.dumps({"profile": cubic_without_nu2}) + "\n"
+    )
+    code, recs, _ = _run(capsys, ["verify", str(pfile), "--profiles"])
+    assert code == cli.EXIT_OK
+    assert [r["line"] for r in recs] == ["1", "2", "3", "4"]
+    assert ["error" in r for r in recs] == [True, False, True, True]
+
+
+def test_profile_record_format_and_line(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    path.write_text("C~\n" + gio.emit_sparse6(families.k4()) + "\n")
+    code, recs, _ = _run(capsys, ["profile", str(path)])
+    assert code == cli.EXIT_OK
+    assert [(r["line"], r["format"]) for r in recs] == [
+        ("1", "graph6"),
+        ("2", "sparse6"),
+    ]
+    assert recs[0]["profile"]["nu3"] == "6"
+
+
+def test_runtime_ms_is_an_exact_string(tmp_path, capsys):
+    path = _write_graphs(tmp_path / "g.s6", [families.k4()])
+    for argv in (["solve", path], ["profile", path], ["oracle", path]):
+        _, recs, _ = _run(capsys, argv)
+        assert recs[0]["runtime_ms"].isdigit()

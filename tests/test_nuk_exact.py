@@ -2,6 +2,8 @@
 pendant and bridge reductions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulab import corpus, exact, families, oracle
 from nulab.errors import NotABridge, NotCubic
@@ -139,3 +141,33 @@ def test_node_count_reported():
     res = exact.nu_k(families.petersen(), 3)
     assert res.value == 13
     assert res.node_count >= 0
+
+
+@st.composite
+def _split_multigraphs(draw):
+    """Several components (possibly disconnected inside), isolated
+    vertices and parallel pairs, with the edges of all parts shuffled."""
+    n = 0
+    edges = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 5))
+        pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        part = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=6))
+        if part and draw(st.booleans()):
+            part.append(part[0])
+        edges += [(n + u, n + v) for u, v in part]
+        n += size
+    n += draw(st.integers(0, 2))
+    return build(n, draw(st.permutations(edges)))
+
+
+@given(_split_multigraphs(), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_routes_agree_on_split_multigraphs(g, k):
+    poly_res, bb_res = (exact.nu_k(g, k, use_poly=p) for p in (True, False))
+    assert poly_res.value == bb_res.value
+    for res in (poly_res, bb_res):
+        assert res.certificate.colored_count == res.value
+        assert res.certificate.is_proper(g)
+    if g.m <= 10:
+        assert poly_res.value == oracle.nu_k_oracle(g, k, max_edges=10)
