@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 from typing import Callable, Iterator, Optional, TextIO
 
 from . import corpus, exact, families, gio, oracle, rules, structure
@@ -175,8 +176,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             start = time.monotonic()
             rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
             if ks:
-                for k in ks:
-                    rec[f"nu{k}"] = exact.nu_k(g, k).value
+                for k, res in exact.solve_profile(g, ks).items():
+                    rec[f"nu{k}"] = res.value
             else:
                 res = exact.nu_k(g, args.k)
                 rec["k"] = args.k
@@ -286,6 +287,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         print(f"hunt: not conjecture rules: {sorted(bad)}", file=sys.stderr)
         return EXIT_USAGE
     ks = _parse_all_k(args.all_k)
+    if args.budget is not None and args.budget < 0:
+        raise BadParameter(f"--budget must be >= 0, got {args.budget}")
     gio.write_record(
         sys.stdout,
         {
@@ -299,9 +302,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     )
     found = False
     with _open_input(args.input) as stream:
-        for lineno, _, g in _read_graphs(stream):
-            if args.budget is not None and lineno > args.budget:
-                break
+        for lineno, _, g in islice(_read_graphs(stream), args.budget):
             try:
                 profile = compute_profile(g, ks=ks)
             except NuLabError as exc:
@@ -388,7 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?")
     p.add_argument("--rule", action="append", default=None)
     p.add_argument("--all-k", default="1..4")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument(
+        "--budget", type=int, default=None, help="profile at most this many graphs"
+    )
     p.add_argument("--fail-on-violation", action="store_true")
     p.set_defaults(func=_cmd_hunt)
 

@@ -26,24 +26,27 @@ def random_tree(n: int, rng: random.Random) -> MultiGraph:
 
 def random_unicyclic(n: int, rng: random.Random) -> MultiGraph:
     """Random tree plus one extra edge (parallel pairs allowed, so
-    2-cycles occur)."""
+    2-cycles occur) on n >= 2 vertices."""
+    if n < 2:
+        raise BadParameter("a unicyclic multigraph needs at least 2 vertices")
     edges = [(rng.randrange(i), i) for i in range(1, n)]
+    return MultiGraph(n, edges + [_random_pair(n, rng)])
+
+
+def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
+    """m uniform random loopless edges on n vertices (n >= 2 when m >= 1)."""
+    if n < 2 and m >= 1:
+        raise BadParameter("a loopless edge needs at least 2 vertices")
+    return MultiGraph(n, [_random_pair(n, rng) for _ in range(m)])
+
+
+def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:
+    """Two distinct vertices of 0..n-1 (n >= 2), smaller first."""
     u = rng.randrange(n)
     v = rng.randrange(n)
     while v == u:
         v = rng.randrange(n)
-    return MultiGraph(n, edges + [(min(u, v), max(u, v))])
-
-
-def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
-    edges = []
-    for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        while v == u:
-            v = rng.randrange(n)
-        edges.append((min(u, v), max(u, v)))
-    return MultiGraph(n, edges)
+    return min(u, v), max(u, v)
 
 
 def random_trees(count: int, max_n: int, seed: int) -> Iterator[MultiGraph]:

@@ -18,12 +18,15 @@ into an optimum one at a time (each consuming a color slot at its inner
 endpoint), and residual components whose cycle rank is at most 1 are
 routed to the polynomial solver.  Capacities below k thread through the
 whole pipeline.
+
+solve_profile answers several k at once: on a class-1 cubic graph one
+3-edge-colouring certifies every nu_k; otherwise it calls nu_k per k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
@@ -317,15 +320,18 @@ def _solve_component(
     return value, assign, nodes
 
 
+def _is_cubic(g: MultiGraph) -> bool:
+    return g.n > 0 and all(d == 3 for d in g.degrees())
+
+
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     """Exact nu_k(g) with a verifying certificate."""
     if k < 1:
         raise BadParameter("k must be positive")
     if g.m == 0:
         return NuResult(0, ColorClasses(k), 0)
-    cubic = g.n > 0 and all(d == 3 for d in g.degrees())
     simple = len(set(g.edges)) == g.m
-    if (cubic and k >= 4) or (simple and k >= g.max_degree() + 1):
+    if (_is_cubic(g) and k >= 4) or (simple and k >= g.max_degree() + 1):
         counter = [0]
         full = _decide(g, [k] * g.n, k, g.m, counter)
         assert full is not None
@@ -344,9 +350,37 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     return NuResult(total, ColorClasses(k, assign), nodes)
 
 
+def solve_profile(
+    g: MultiGraph, ks: Iterable[int], use_poly: bool = True
+) -> dict[int, NuResult]:
+    """Exact nu_k(g) for every k in ks, each with a verifying certificate.
+
+    A bridgeless cubic graph is first searched for a 3-edge-colouring
+    (one decision search with k = 3 and every edge coloured; a cubic
+    graph with a bridge has none).  If one exists, its colour classes
+    1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
+    each result carries the node count of that one search.  Otherwise,
+    and on every other graph, each k is solved by nu_k."""
+    ks = sorted(set(ks))
+    if not ks:
+        return {}
+    if ks[0] < 1:
+        raise BadParameter("k must be positive")
+    if _is_cubic(g) and not g.bridges():
+        counter = [0]
+        full = _decide(g, [3] * g.n, 3, g.m, counter)
+        if full is not None:
+            out = {}
+            for k in ks:
+                cert = ColorClasses(k, {e: c for e, c in full.items() if c <= k})
+                out[k] = NuResult(cert.colored_count, cert, counter[0])
+            return out
+    return {k: nu_k(g, k, use_poly=use_poly) for k in ks}
+
+
 def resistance_r3(g: MultiGraph) -> int:
     """r3(g) = |E| - nu_3(g) for cubic g."""
-    if g.n == 0 or any(d != 3 for d in g.degrees()):
+    if not _is_cubic(g):
         raise NotCubic("resistance is defined for cubic graphs")
     return g.m - nu_k(g, 3).value
 

@@ -42,7 +42,8 @@ def compute_profile(
 ) -> GraphProfile:
     """Exact profile with nu_k for every requested k."""
     flags = profile_flags(g)
-    nu = {k: exact.nu_k(g, k, use_poly=use_poly).value for k in sorted(set(ks))}
+    solved = exact.solve_profile(g, ks, use_poly=use_poly)
+    nu = {k: res.value for k, res in solved.items()}
     r3 = g.m - nu[3] if flags.cubic and 3 in nu else None
     oG = None
     if include_o and flags.cubic:

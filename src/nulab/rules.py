@@ -195,6 +195,10 @@ def _cf_bridgeless_cubic(p: GraphProfile) -> bool:
     return _bridgeless_cubic(p) and p.flags.claw_free
 
 
+def _cubic_with_o(p: GraphProfile) -> bool:
+    return p.flags.cubic and p.oG is not None
+
+
 def _alpha_rule(rule_id: str, kind: str, guard, num: int, den: int, note=None) -> Rule:
     """nu2 >= (num/den) * (n + 2*nu3) / 4."""
     return _simple(
@@ -343,6 +347,24 @@ REGISTRY: tuple[Rule, ...] = (
         lambda p: Fraction(3 * p.n - 2),
     ),
     _xk_rule(),
+    # Cross-route checks of branch and bound (r3) against 2-factor
+    # enumeration (oG); Steffen, Discrete Math. 2004.  Deleting one edge
+    # per odd cycle of a 2-factor leaves a 3-edge-colourable graph, and a
+    # cubic graph has an even number of vertices, so a 2-factor has an
+    # even number of odd cycles.
+    _simple(
+        "R3-LE-OG", "theorem", _cubic_with_o, "le",
+        lambda p: Fraction(p.r3_value()), lambda p: Fraction(p.oG),
+    ),
+    _simple(
+        "R3-0-IFF-OG-0", "theorem", _cubic_with_o, "eq",
+        lambda p: Fraction(int(p.r3_value() == 0)),
+        lambda p: Fraction(int(p.oG == 0)),
+    ),
+    _simple(
+        "OG-EVEN", "theorem", _cubic_with_o, "eq",
+        lambda p: Fraction(p.oG % 2), lambda p: Fraction(0),
+    ),
 )
 
 RULE_IDS: tuple[str, ...] = tuple(r.rule_id for r in REGISTRY)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from nulab import cli, families, gio
+from nulab import cli, exact, families, gio
 from nulab.exact import ColorClasses
+from nulab.graph import MultiGraph
+from nulab.profiling import compute_profile
 
 
 def _run(capsys, argv):
@@ -284,3 +286,35 @@ def test_runtime_ms_is_an_exact_string(tmp_path, capsys):
     for argv in (["solve", path], ["profile", path], ["oracle", path]):
         _, recs, _ = _run(capsys, argv)
         assert recs[0]["runtime_ms"].isdigit()
+
+
+def test_solve_all_k_matches_nu_k(tmp_path, capsys):
+    theta = MultiGraph(2, [(0, 1)] * 3)
+    graphs = [families.petersen(), families.sylvester10(), families.k4(), theta]
+    path = _write_graphs(tmp_path / "g.s6", graphs)
+    code, recs, _ = _run(capsys, ["solve", path, "--all-k", "1..5"])
+    assert code == cli.EXIT_OK
+    assert len(recs) == len(graphs)
+    for g, rec in zip(graphs, recs):
+        for k in range(1, 6):
+            assert rec[f"nu{k}"] == str(exact.nu_k(g, k).value)
+
+
+def test_hunt_budget_counts_graphs(tmp_path, capsys, monkeypatch):
+    profiled = []
+
+    def counting_profile(g, ks):
+        profiled.append(g)
+        return compute_profile(g, ks=ks)
+
+    monkeypatch.setattr(cli, "compute_profile", counting_profile)
+    graphs = [families.cycle(6), families.k4(), families.path(5)]
+    path = tmp_path / "g.s6"
+    lines = [gio.emit_sparse6(g) for g in graphs]
+    path.write_text("\n".join([lines[0], "", "not-a-graph6-line{}", *lines[1:]]) + "\n")
+    code, recs, _ = _run(capsys, ["hunt", str(path), "--budget", "2"])
+    assert code == cli.EXIT_OK
+    assert [(g.n, g.m) for g in profiled] == [(6, 6), (4, 6)]  # cycle(6), k4
+    assert [r.get("line") for r in recs if "error" in r] == ["3"]
+    assert cli.main(["hunt", str(path), "--budget", "-1"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("hunt: ")

@@ -133,6 +133,16 @@ def test_random_generators_respect_class(rng):
         assert u.structure_flags().is_unicyclic
 
 
+def test_random_generators_reject_too_few_vertices(rng):
+    for n in (0, 1):
+        with pytest.raises(BadParameter):
+            corpus.random_unicyclic(n, rng)
+        with pytest.raises(BadParameter):
+            corpus.random_multigraph(n, 1, rng)
+        assert corpus.random_multigraph(n, 0, rng).m == 0
+    assert corpus.random_multigraph(2, 3, rng).edges == ((0, 1),) * 3
+
+
 def test_all_unicyclic_members_are_unicyclic():
     seen = 0
     for g in corpus.all_unicyclic(6):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nulab import families, rules
+from nulab import corpus, families, rules
 from nulab.errors import MissingProfileField, NuLabError
 from nulab.profiling import compute_profile, profile_as_dict, profile_from_dict
 from nulab.rules import GraphProfile, ProfileFlags
@@ -172,3 +172,31 @@ def test_hunt_budget_and_error_skip():
     hits = rules.hunt(graphs, budget=3, profiler=profiler)
     assert hits == []
     assert len(calls) == 3  # budget respected; the failing graph was skipped
+
+
+CROSS_ROUTE_IDS = ("R3-LE-OG", "R3-0-IFF-OG-0", "OG-EVEN")
+
+
+def test_cross_route_rules_hold_on_census():
+    checked = 0
+    for g in corpus.connected_cubic_graphs(10):
+        profile = compute_profile(g)
+        for rep in rules.evaluate_all(profile, CROSS_ROUTE_IDS):
+            assert rep.kind == "theorem"
+            assert rep.applicable and rep.holds, (g, rep)
+            checked += 1
+    assert checked == 3 * 27
+
+
+def test_cross_route_rules_flag_inconsistent_profile():
+    flags = _flags(cubic=True, bridgeless=True)
+    made_up = GraphProfile(n=10, m=15, nu={1: 5, 2: 10, 3: 15}, flags=flags, r3=0, oG=2)
+    reports = rules.evaluate_all(made_up, CROSS_ROUTE_IDS)
+    assert not _report(reports, "R3-0-IFF-OG-0").holds
+    assert _report(reports, "R3-LE-OG").holds and _report(reports, "OG-EVEN").holds
+    odd = GraphProfile(n=10, m=15, nu={3: 13}, flags=flags, r3=2, oG=1)
+    reports = rules.evaluate_all(odd, CROSS_ROUTE_IDS)
+    assert not _report(reports, "R3-LE-OG").holds
+    assert not _report(reports, "OG-EVEN").holds
+    no_o = GraphProfile(n=10, m=15, nu={3: 15}, flags=flags, r3=0)
+    assert not any(r.applicable for r in rules.evaluate_all(no_o, CROSS_ROUTE_IDS))
