@@ -1,10 +1,12 @@
 """Corpus generation: random trees/unicyclic/multigraphs and the
 exhaustive small-graph corpora used by the verification suites.
 
-The connected cubic corpus is produced by 2-factor + perfect-matching
-enumeration with isomorphism dedup; the per-order counts are validated
-against the published census (1, 2, 5, 19, 85 for n = 4..12) in the
-test suite.
+The connected cubic census (n <= 14) enumerates labelled 2-factor +
+perfect-matching candidates and keeps one per isomorphism class, found
+by a small search that maps one cubic graph onto another along a BFS
+order (no general-purpose matcher).  The test suite checks its per-order
+counts against the published census (1, 2, 5, 19, 85 for n = 4..12) and
+its isomorphism answers against networkx.
 """
 
 from __future__ import annotations
@@ -61,13 +63,6 @@ def random_unicyclics(count: int, max_n: int, seed: int) -> Iterator[MultiGraph]
         yield random_unicyclic(rng.randint(2, max_n), rng)
 
 
-def _to_nx(g: MultiGraph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
-
-
 def _partitions(n: int, min_part: int = 3) -> Iterator[tuple[int, ...]]:
     """Partitions of n into parts >= min_part, non-increasing."""
 
@@ -114,14 +109,16 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     Every connected simple cubic graph on at most 14 vertices has a
     perfect matching (the smallest counterexample has 16), so each is a
     2-factor plus a perfect matching: enumerate a canonical labeled
-    2-factor per cycle-type partition, all avoiding perfect matchings on
-    top of it, and deduplicate by isomorphism.
+    2-factor per cycle-type partition and all avoiding perfect matchings
+    on top of it.  Candidates are bucketed by their _Cubic.key and each
+    is kept unless _isomorphic maps a kept member of its bucket onto it;
+    the first member of each class found is its representative.
     """
     if max_n > 14:
         raise BadParameter("PM-based cubic enumeration is valid only up to n = 14")
     out: list[MultiGraph] = []
     for n in range(4, max_n + 1, 2):
-        buckets: dict[tuple, list[tuple[MultiGraph, nx.Graph]]] = {}
+        buckets: dict[tuple, list[_Cubic]] = {}
         for part in _partitions(n):
             cyc_edges: list[tuple[int, int]] = []
             start = 0
@@ -139,33 +136,101 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
                 g = MultiGraph(n, cyc_edges + pm)
                 if not g.is_connected():
                     continue
-                key = _local_invariant(g)
-                gx = _to_nx(g)
-                seen = buckets.setdefault(key, [])
-                if not any(nx.vf2pp_is_isomorphic(gx, ox) for _, ox in seen):
-                    seen.append((g, gx))
-        out.extend(g for group in buckets.values() for g, _ in group)
+                cand = _Cubic(g)
+                seen = buckets.setdefault(cand.key, [])
+                if not any(_isomorphic(rep, cand) for rep in seen):
+                    seen.append(cand)
+        out.extend(c.graph for group in buckets.values() for c in group)
     return out
 
 
-def _local_invariant(g: MultiGraph) -> tuple:
-    """Cheap isomorphism invariant (triangle and 4-cycle-style local
-    counts), strong enough to keep dedup buckets of regular graphs
-    small; 1-WL cannot separate regular graphs at all."""
-    nb = [sorted(g.neighbors(v)) for v in range(g.n)]
-    nbset = [set(x) for x in nb]
-    tri = []
-    sq = []
-    for v in range(g.n):
-        t = 0
-        s = 0
-        for a, b in combinations(nb[v], 2):
-            if b in nbset[a]:
-                t += 1
-            s += len((nbset[a] & nbset[b]) - {v})
-        tri.append(t)
-        sq.append(s)
-    return (g.n, tuple(sorted(tri)), tuple(sorted(sq)))
+class _Cubic:
+    """A connected simple cubic graph prepared for _isomorphic.
+
+    nb holds the neighbours of each vertex and loc its (triangle,
+    4-cycle) counts: the triangles through v, and for each pair of
+    neighbours the other vertices adjacent to both.  key, the sorted
+    triangle and 4-cycle counts, is a cheap invariant that keeps the
+    census buckets small (1-WL cannot separate regular graphs at all).
+    bfs() is computed on first use, since only the graph mapped from
+    needs it.
+    """
+
+    __slots__ = ("graph", "nb", "loc", "key", "_bfs")
+
+    def __init__(self, g: MultiGraph):
+        self.graph = g
+        self.nb = [tuple(w for _, w in g.incident(v)) for v in range(g.n)]
+        sets = [set(ns) for ns in self.nb]
+        self.loc = [
+            (
+                sum(b in sets[a] for a, b in combinations(ns, 2)),
+                sum(len(sets[a] & sets[b]) - 1 for a, b in combinations(ns, 2)),
+            )
+            for ns in self.nb
+        ]
+        self.key = (
+            g.n,
+            tuple(sorted(t for t, _ in self.loc)),
+            tuple(sorted(s for _, s in self.loc)),
+        )
+        self._bfs = None
+
+    def bfs(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The vertices in BFS order from the first vertex whose loc class
+        is rarest, each with its neighbours earlier in that order."""
+        if self._bfs is None:
+            loc = self.loc
+            root = min(range(len(loc)), key=lambda v: (loc.count(loc[v]), v))
+            order, pos = [root], {root: 0}
+            for v in order:
+                for w in self.nb[v]:
+                    if w not in pos:
+                        pos[w] = len(order)
+                        order.append(w)
+            self._bfs = [
+                (v, tuple(w for w in self.nb[v] if pos[w] < i))
+                for i, v in enumerate(order)
+            ]
+        return self._bfs
+
+
+def _isomorphic(a: _Cubic, b: _Cubic) -> bool:
+    """Whether there is an isomorphism from a onto b, two prepared graphs
+    of the same order.
+
+    The root of a's BFS order goes to each vertex of b with its loc;
+    each later vertex v goes to an unused vertex c with v's loc that is
+    adjacent to the images of v's earlier neighbours (so c is drawn from
+    the neighbours of one of them) and to no other used vertex.  Only
+    the adjacency to those images decides: a complete edge-preserving
+    bijection between cubic graphs is an isomorphism, so the loc and
+    used-vertex tests just prune.
+    """
+    steps = a.bfs()
+    n = len(steps)
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        v, back = steps[i]
+        for c in b.nb[image[back[0]]] if back else range(n):
+            if used[c] or b.loc[c] != a.loc[v]:
+                continue
+            x, y, z = nbc = b.nb[c]
+            if used[x] + used[y] + used[z] != len(back) or not all(
+                image[u] in nbc for u in back
+            ):
+                continue
+            image[v], used[c] = c, True
+            if extend(i + 1):
+                return True
+            image[v], used[c] = -1, False
+        return False
+
+    return extend(0)
 
 
 def all_trees(n: int) -> list[MultiGraph]:

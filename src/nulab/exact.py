@@ -351,7 +351,10 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
 
 
 def solve_profile(
-    g: MultiGraph, ks: Iterable[int], use_poly: bool = True
+    g: MultiGraph,
+    ks: Iterable[int],
+    use_poly: bool = True,
+    bridgeless: Optional[bool] = None,
 ) -> dict[int, NuResult]:
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
@@ -360,13 +363,15 @@ def solve_profile(
     graph with a bridge has none).  If one exists, its colour classes
     1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
     each result carries the node count of that one search.  Otherwise,
-    and on every other graph, each k is solved by nu_k."""
+    and on every other graph, each k is solved by nu_k.  A caller that
+    already knows whether g has a bridge passes it as bridgeless, so the
+    bridges are not searched again."""
     ks = sorted(set(ks))
     if not ks:
         return {}
     if ks[0] < 1:
         raise BadParameter("k must be positive")
-    if _is_cubic(g) and not g.bridges():
+    if _is_cubic(g) and (not g.bridges() if bridgeless is None else bridgeless):
         counter = [0]
         full = _decide(g, [3] * g.n, 3, g.m, counter)
         if full is not None:

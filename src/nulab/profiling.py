@@ -42,7 +42,7 @@ def compute_profile(
 ) -> GraphProfile:
     """Exact profile with nu_k for every requested k."""
     flags = profile_flags(g)
-    solved = exact.solve_profile(g, ks, use_poly=use_poly)
+    solved = exact.solve_profile(g, ks, use_poly=use_poly, bridgeless=flags.bridgeless)
     nu = {k: res.value for k, res in solved.items()}
     r3 = g.m - nu[3] if flags.cubic and 3 in nu else None
     oG = None

@@ -318,3 +318,14 @@ def test_hunt_budget_counts_graphs(tmp_path, capsys, monkeypatch):
     assert [r.get("line") for r in recs if "error" in r] == ["3"]
     assert cli.main(["hunt", str(path), "--budget", "-1"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("hunt: ")
+
+
+def test_gen_cubic_census(capsys):
+    assert cli.main(["gen", "cubic", "--max-n", "12"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 112
+    by_n = {}
+    for line in lines:
+        g = gio.parse_sparse6(line)
+        by_n[g.n] = by_n.get(g.n, 0) + 1
+    assert by_n == {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}

@@ -106,3 +106,18 @@ def test_compute_profile_on_class2_calls_nu_k_per_k(monkeypatch):
     calls.clear()
     profiling.compute_profile(families.k4())
     assert calls == []
+
+
+def test_compute_profile_finds_bridges_once(monkeypatch):
+    calls = []
+    original = MultiGraph.bridges
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MultiGraph, "bridges", counted)
+    for g in (families.k4(), families.petersen(), families.sylvester10()):
+        calls.clear()
+        profiling.compute_profile(g)
+        assert len(calls) == 1
