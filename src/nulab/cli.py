@@ -94,14 +94,31 @@ def _read_profiles(stream: TextIO) -> Iterator[tuple[int, GraphProfile]]:
         yield lineno, profile
 
 
+def _computed_profiles(
+    stream: TextIO, ks: list[int]
+) -> Iterator[tuple[int, GraphProfile]]:
+    """(line number, profile) per graph line; a graph too large to
+    profile gets an error record instead."""
+    for lineno, _, g in _read_graphs(stream):
+        try:
+            profile = compute_profile(g, ks=ks)
+        except TooLarge as exc:
+            gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+            continue
+        yield lineno, profile
+
+
 def _open_input(path: Optional[str]) -> TextIO:
     if path in (None, "-"):
         return sys.stdin
     return open(path, "r", encoding="utf-8")
 
 
-def _ms_since(start: float) -> int:
-    return int((time.monotonic() - start) * 1000)
+def _runtime(start_ns: int) -> dict[str, int]:
+    """runtime_us and runtime_ms since start_ns (a perf_counter_ns
+    reading), both truncated from one clock reading."""
+    us = (time.perf_counter_ns() - start_ns) // 1000
+    return {"runtime_us": us, "runtime_ms": us // 1000}
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +190,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k) if args.all_k else None
     with _open_input(args.input) as stream:
         for lineno, _, g in _read_graphs(stream):
-            start = time.monotonic()
+            start = time.perf_counter_ns()
             rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
-            if ks:
-                for k, res in exact.solve_profile(g, ks).items():
-                    rec[f"nu{k}"] = res.value
-            else:
-                res = exact.nu_k(g, args.k)
-                rec["k"] = args.k
-                rec["nu"] = res.value
-                if args.certificate:
-                    rec["certificate"] = {
-                        str(e): c for e, c in sorted(res.certificate.assignment.items())
-                    }
-            rec["runtime_ms"] = _ms_since(start)
+            try:
+                if ks:
+                    for k, res in exact.solve_profile(g, ks).items():
+                        rec[f"nu{k}"] = res.value
+                else:
+                    res = exact.nu_k(g, args.k)
+                    rec["k"] = args.k
+                    rec["nu"] = res.value
+                    if args.certificate:
+                        rec["certificate"] = {
+                            str(e): c
+                            for e, c in sorted(res.certificate.assignment.items())
+                        }
+            except TooLarge as exc:
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+                continue
+            rec.update(_runtime(start))
             gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
@@ -194,14 +216,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     with _open_input(args.input) as stream:
         for lineno, _, g in _read_graphs(stream):
-            start = time.monotonic()
+            start = time.perf_counter_ns()
             rec = {"line": lineno, "graph_id": f"line{lineno}", "k": args.k}
             try:
                 rec["nu"] = oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges)
             except TooLarge as exc:
                 gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
                 continue
-            rec["runtime_ms"] = _ms_since(start)
+            rec.update(_runtime(start))
             gio.write_record(sys.stdout, rec)
     return EXIT_OK
 
@@ -214,14 +236,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k)
     with _open_input(args.input) as stream:
         for lineno, fmt, g in _read_graphs(stream):
-            start = time.monotonic()
-            profile = compute_profile(g, ks=ks)
+            start = time.perf_counter_ns()
+            try:
+                profile = compute_profile(g, ks=ks)
+            except TooLarge as exc:
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+                continue
             rec = gio.ReportRecord(
                 graph_id=f"line{lineno}",
                 format=fmt,
                 profile=profile_as_dict(profile),
-                runtime_ms=_ms_since(start),
                 line=lineno,
+                **_runtime(start),
             )
             gio.write_record(sys.stdout, rec)
     return EXIT_OK
@@ -250,13 +276,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k)
     worst = EXIT_OK
     with _open_input(args.input) as stream:
-        if args.profiles:
-            items = _read_profiles(stream)
-        else:
-            items = (
-                (lineno, compute_profile(g, ks=ks))
-                for lineno, _, g in _read_graphs(stream)
-            )
+        items = (
+            _read_profiles(stream) if args.profiles else _computed_profiles(stream, ks)
+        )
         for lineno, profile in items:
             try:
                 reports = rules.evaluate_all(profile, rule_ids)
@@ -331,7 +353,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
             try:
                 dec = structure.oum_decompose(g)
-            except NotInClass as exc:
+                r3 = structure.r3_via_reduction(g) if args.r3 else None
+            except (NotInClass, TooLarge) as exc:
                 gio.write_record(sys.stdout, rec | {"error": str(exc)})
                 continue
             rec["variant"] = dec.variant.value
@@ -339,7 +362,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             rec["base_m"] = dec.base_graph.m
             rec["diamonds"] = dec.total_diamonds
             if args.r3:
-                rec["r3"] = structure.r3_via_reduction(g)
+                rec["r3"] = r3
             gio.write_record(sys.stdout, rec)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import networkx as nx
 
@@ -112,7 +112,9 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     2-factor per cycle-type partition and all avoiding perfect matchings
     on top of it.  Candidates are bucketed by their _Cubic.key and each
     is kept unless _isomorphic maps a kept member of its bucket onto it;
-    the first member of each class found is its representative.
+    the first member of each class found is its representative.  A
+    candidate is only its neighbour tuples; the MultiGraph is built for
+    representatives alone.
     """
     if max_n > 14:
         raise BadParameter("PM-based cubic enumeration is valid only up to n = 14")
@@ -131,21 +133,42 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
                     for i in range(length)
                 )
                 start += length
+            cyc_nb: list[tuple[int, ...]] = [()] * n
+            for u, v in cyc_edges:
+                cyc_nb[u] += (v,)
+                cyc_nb[v] += (u,)
             banned = set(cyc_edges)
+            mate = [0] * n
             for pm in _matchings_avoiding(n, banned):
-                g = MultiGraph(n, cyc_edges + pm)
-                if not g.is_connected():
+                for u, v in pm:
+                    mate[u], mate[v] = v, u
+                nb = [cyc_nb[v] + (mate[v],) for v in range(n)]
+                if not _connected(nb):
                     continue
-                cand = _Cubic(g)
+                cand = _Cubic(nb)
                 seen = buckets.setdefault(cand.key, [])
                 if not any(_isomorphic(rep, cand) for rep in seen):
+                    cand.graph = MultiGraph(n, cyc_edges + pm)
                     seen.append(cand)
         out.extend(c.graph for group in buckets.values() for c in group)
     return out
 
 
+def _connected(nb: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the graph with neighbour tuples nb (n >= 1) is connected."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in nb[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nb)
+
+
 class _Cubic:
-    """A connected simple cubic graph prepared for _isomorphic.
+    """A connected simple cubic graph prepared for _isomorphic, from a
+    MultiGraph or from its neighbour tuples alone (graph is then None).
 
     nb holds the neighbours of each vertex and loc its (triangle,
     4-cycle) counts: the triangles through v, and for each pair of
@@ -158,9 +181,13 @@ class _Cubic:
 
     __slots__ = ("graph", "nb", "loc", "key", "_bfs")
 
-    def __init__(self, g: MultiGraph):
-        self.graph = g
-        self.nb = [tuple(w for _, w in g.incident(v)) for v in range(g.n)]
+    def __init__(self, g: MultiGraph | Sequence[tuple[int, ...]]):
+        if isinstance(g, MultiGraph):
+            self.graph = g
+            self.nb = [tuple(w for _, w in g.incident(v)) for v in range(g.n)]
+        else:
+            self.graph = None
+            self.nb = list(g)
         sets = [set(ns) for ns in self.nb]
         self.loc = [
             (
@@ -170,7 +197,7 @@ class _Cubic:
             for ns in self.nb
         ]
         self.key = (
-            g.n,
+            len(self.nb),
             tuple(sorted(t for t, _ in self.loc)),
             tuple(sorted(s for _, s in self.loc)),
         )

@@ -74,4 +74,5 @@ class MissingProfileField(NuLabError):
 
 
 class TooLarge(NuLabError):
-    """Instance exceeds the size cap of the exhaustive oracle."""
+    """Instance exceeds the size cap of the exhaustive oracle, or a
+    decision search would recurse deeper than the interpreter allows."""

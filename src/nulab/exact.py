@@ -11,7 +11,12 @@ endpoint degree sum, ties by id), breaks color symmetry (a new color
 must be exactly one more than the maximum used so far), canonicalizes
 parallel twins (colored twins form an id-prefix of their group), prunes
 on a per-vertex capacity bound, and memoizes refuted frontier states so
-that structurally repeated subproblems are refuted once.
+that structurally repeated subproblems are refuted once.  The capacity
+bound is a running slack, updated in O(1) per decision, so the work per
+search node does not grow with the number of vertices.  The search
+recurses once per edge: one deeper than the recursion limit allows
+raises TooLarge, and the whole-graph shortcuts below are taken only
+where their search fits.
 
 Before searching, each component is reduced: pendant edges are forced
 into an optimum one at a time (each consuming a color slot at its inner
@@ -25,13 +30,15 @@ solve_profile answers several k at once: on a class-1 cubic graph one
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
 from . import poly
-from .errors import BadParameter, NotABridge, NotCubic
+from .errors import BadParameter, NotABridge, NotCubic, TooLarge
 from .graph import MultiGraph
 from .matching import max_matching
 
@@ -99,6 +106,16 @@ def _static_order(h: MultiGraph) -> list[int]:
     return order
 
 
+# Stack frames kept free for the callers of a decision search.
+_STACK_RESERVE = 200
+
+
+def _searchable(h: MultiGraph) -> bool:
+    """Whether a decision search over h, one frame per edge, fits under
+    the interpreter's recursion limit."""
+    return h.m + _STACK_RESERVE < sys.getrecursionlimit()
+
+
 def _decide(
     h: MultiGraph,
     cap: Sequence[int],
@@ -107,29 +124,33 @@ def _decide(
     counter: list[int],
 ) -> Optional[dict[int, int]]:
     """A proper partial k-coloring of h with >= target colored edges
-    respecting per-vertex capacities, or None if impossible."""
+    respecting per-vertex capacities, or None if impossible.
+
+    The search recurses once per edge, so an h with too many edges for
+    the interpreter's recursion limit raises TooLarge."""
     m = h.m
     budget = m - target
     if budget < 0:
         return None
+    if not _searchable(h):
+        raise TooLarge(f"a decision search over {m} edges exceeds the recursion limit")
     order = _static_order(h)
-    pos_of = {e: i for i, e in enumerate(order)}
+    ends = [h.edges[e] for e in order]
 
     # parallel-twin groups: colored twins must be an id-prefix
-    group_of: dict[int, int] = {}
+    mult = Counter(h.edges)
     groups: dict[tuple[int, int], int] = {}
-    for eid in range(m):
-        e = h.edges[eid]
-        if h.multiplicity(*e) > 1:
-            group_of[eid] = groups.setdefault(e, len(groups))
+    for e in h.edges:
+        if mult[e] > 1:
+            groups.setdefault(e, len(groups))
+    gids = [groups.get(e) for e in ends]
     group_skips = [0] * len(groups)
 
     # frontier: vertices with both decided and undecided incident edges
     first_pos = [m] * h.n
     last_pos = [-1] * h.n
-    for eid in range(m):
-        i = pos_of[eid]
-        for v in h.edges[eid]:
+    for i, e in enumerate(ends):
+        for v in e:
             first_pos[v] = min(first_pos[v], i)
             last_pos[v] = max(last_pos[v], i)
     frontier = [
@@ -143,24 +164,25 @@ def _decide(
     assign: dict[int, int] = {}
     failed: set = set()
 
-    def rec(i: int, colored: int, skips: int, maxc: int) -> bool:
+    # slack = sum over v of min(cap[v] - ndeg[v], rem[v]), the capacity
+    # bound's free endpoint slots, carried down the recursion: coloring
+    # an edge takes one slot and one remaining edge at both endpoints
+    # (slack - 2); skipping it lowers an endpoint's term only where its
+    # remaining edges do not exceed its free slots.
+    def rec(i: int, colored: int, skips: int, maxc: int, slack: int) -> bool:
         counter[0] += 1
         if colored >= target:
             return True
-        if i == m:
+        if i == m or colored + (slack >> 1) < target:
             return False
-        s = 0
-        for v in range(h.n):
-            if rem[v]:
-                s += min(cap[v] - ndeg[v], rem[v])
-        if colored + (s >> 1) < target:
-            return False
-        key = (i, skips, maxc, tuple(used[v] for v in frontier[i]))
+        key = (i, skips, maxc, tuple(map(used.__getitem__, frontier[i])))
         if key in failed:
             return False
-        eid = order[i]
-        u, v = h.edges[eid]
-        gid = group_of.get(eid)
+        u, v = ends[i]
+        gid = gids[i]
+        skip_slack = (
+            slack - (rem[u] <= cap[u] - ndeg[u]) - (rem[v] <= cap[v] - ndeg[v])
+        )
         rem[u] -= 1
         rem[v] -= 1
         if (
@@ -169,7 +191,8 @@ def _decide(
             and (gid is None or group_skips[gid] == 0)
         ):
             taken = used[u] | used[v]
-            for c in range(1, min(k, maxc + 1) + 1):
+            eid = order[i]
+            for c in range(1, (maxc + 1 if maxc < k else k) + 1):
                 bit = 1 << c
                 if taken & bit:
                     continue
@@ -178,7 +201,7 @@ def _decide(
                 ndeg[u] += 1
                 ndeg[v] += 1
                 assign[eid] = c
-                if rec(i + 1, colored + 1, skips, max(maxc, c)):
+                if rec(i + 1, colored + 1, skips, c if c > maxc else maxc, slack - 2):
                     return True
                 del assign[eid]
                 used[u] &= ~bit
@@ -188,7 +211,7 @@ def _decide(
         if skips < budget:
             if gid is not None:
                 group_skips[gid] += 1
-            if rec(i + 1, colored, skips + 1, maxc):
+            if rec(i + 1, colored, skips + 1, maxc, skip_slack):
                 return True
             if gid is not None:
                 group_skips[gid] -= 1
@@ -197,7 +220,7 @@ def _decide(
         failed.add(key)
         return False
 
-    if rec(0, 0, 0, 0):
+    if rec(0, 0, 0, 0, sum(map(min, cap, rem))):
         return dict(assign)
     return None
 
@@ -325,13 +348,17 @@ def _is_cubic(g: MultiGraph) -> bool:
 
 
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
-    """Exact nu_k(g) with a verifying certificate."""
+    """Exact nu_k(g) with a verifying certificate.  Raises TooLarge if a
+    component needs a decision search deeper than the recursion limit
+    allows."""
     if k < 1:
         raise BadParameter("k must be positive")
     if g.m == 0:
         return NuResult(0, ColorClasses(k), 0)
     simple = len(set(g.edges)) == g.m
-    if (_is_cubic(g) and k >= 4) or (simple and k >= g.max_degree() + 1):
+    if _searchable(g) and (
+        (_is_cubic(g) and k >= 4) or (simple and k >= g.max_degree() + 1)
+    ):
         counter = [0]
         full = _decide(g, [k] * g.n, k, g.m, counter)
         assert full is not None
@@ -358,9 +385,9 @@ def solve_profile(
 ) -> dict[int, NuResult]:
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
-    A bridgeless cubic graph is first searched for a 3-edge-colouring
-    (one decision search with k = 3 and every edge coloured; a cubic
-    graph with a bridge has none).  If one exists, its colour classes
+    A bridgeless cubic graph whose search fits under the recursion limit
+    is first searched for a 3-edge-colouring (one decision search with
+    k = 3 and every edge coloured; a cubic graph with a bridge has none).  If one exists, its colour classes
     1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
     each result carries the node count of that one search.  Otherwise,
     and on every other graph, each k is solved by nu_k.  A caller that
@@ -371,7 +398,11 @@ def solve_profile(
         return {}
     if ks[0] < 1:
         raise BadParameter("k must be positive")
-    if _is_cubic(g) and (not g.bridges() if bridgeless is None else bridgeless):
+    if (
+        _is_cubic(g)
+        and _searchable(g)
+        and (not g.bridges() if bridgeless is None else bridgeless)
+    ):
         counter = [0]
         full = _decide(g, [3] * g.n, 3, g.m, counter)
         if full is not None:

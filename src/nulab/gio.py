@@ -195,6 +195,7 @@ class ReportRecord:
     profile: Mapping[str, Any]
     rule_reports: tuple = ()
     runtime_ms: int = 0
+    runtime_us: int = 0
     line: Optional[int] = None
 
 

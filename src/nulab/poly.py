@@ -135,25 +135,31 @@ def best_degree_bounded(
 def _component_optimum(
     h: MultiGraph, k: int, cap: Sequence[int]
 ) -> tuple[int, set[int]]:
-    """best_degree_bounded on one connected graph of cycle rank <= 1:
-    the best of dropping one cycle edge (a forest) and keeping the whole
-    cycle (colorable unless k = 2 and it is odd), which leaves a forest
-    with caps lowered by 2 on the cycle."""
+    """best_degree_bounded on one connected graph of cycle rank <= 1.
+
+    Unless k = 2 and the cycle is odd, every subgraph within the caps is
+    colorable, so two forest DPs on h minus one cycle edge e decide it:
+    e left out, or e taken with the caps at its ends lowered by 1.  An
+    odd cycle at k = 2 must not be taken whole: the best of dropping
+    each cycle edge in turn."""
     all_edges = set(range(h.m))
-    cyc, cvs = find_cycle(h)
+    cyc, _ = find_cycle(h)
     if not cyc:
         return _forest_dp(h, all_edges, cap)
-    best = max(
-        (_forest_dp(h, all_edges - {e}, cap) for e in cyc), key=lambda t: t[0]
-    )
-    l = len(cyc)
-    if (k >= 3 or (k == 2 and l % 2 == 0)) and all(cap[v] >= 2 for v in cvs):
-        cap2 = list(cap)
-        for v in cvs:
-            cap2[v] -= 2
-        v0, ch = _forest_dp(h, all_edges - set(cyc), cap2)
-        if l + v0 > best[0]:
-            best = (l + v0, ch | set(cyc))
+    if k == 2 and len(cyc) % 2 == 1:
+        return max(
+            (_forest_dp(h, all_edges - {e}, cap) for e in cyc), key=lambda t: t[0]
+        )
+    e = cyc[0]
+    a, b = h.endpoints(e)
+    best = _forest_dp(h, all_edges - {e}, cap)
+    if cap[a] >= 1 and cap[b] >= 1:
+        cap1 = list(cap)
+        cap1[a] -= 1
+        cap1[b] -= 1
+        v1, ch = _forest_dp(h, all_edges - {e}, cap1)
+        if v1 + 1 > best[0]:
+            best = (v1 + 1, ch | {e})
     return best
 
 

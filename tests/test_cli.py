@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour including exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -286,6 +287,42 @@ def test_runtime_ms_is_an_exact_string(tmp_path, capsys):
     for argv in (["solve", path], ["profile", path], ["oracle", path]):
         _, recs, _ = _run(capsys, argv)
         assert recs[0]["runtime_ms"].isdigit()
+
+
+def test_runtime_us_is_an_exact_string_consistent_with_ms(tmp_path, capsys):
+    path = _write_graphs(tmp_path / "g.s6", [families.k4(), families.fig5_graph28()])
+    for argv in (["solve", path], ["profile", path], ["oracle", path]):
+        _, recs, _ = _run(capsys, argv)
+        for rec in recs:
+            if "error" in rec:  # the oracle refuses fig5
+                continue
+            assert rec["runtime_us"].isdigit()
+            assert int(rec["runtime_ms"]) == int(rec["runtime_us"]) // 1000
+
+
+def test_solve_long_path(tmp_path, capsys):
+    path = _write_graphs(tmp_path / "g.s6", [families.path(1201)])
+    code, recs, out = _run(capsys, ["solve", path, "--k", "3"])
+    assert code == cli.EXIT_OK
+    assert len(recs) == 1
+    assert recs[0]["nu"] == "1200"
+    assert "Traceback" not in out.err
+
+
+def test_search_too_deep_yields_error_records(tmp_path, capsys, monkeypatch):
+    # leave stack room for searches of fewer than 10 edges only
+    monkeypatch.setattr(exact, "_STACK_RESERVE", sys.getrecursionlimit() - 10)
+    path = _write_graphs(tmp_path / "g.s6", [families.petersen(), families.k4()])
+    all_k = ["solve", path, "--all-k", "1..4"]
+    for argv in (["solve", path], all_k, ["profile", path]):
+        code, recs, _ = _run(capsys, argv)
+        assert code == cli.EXIT_OK
+        assert [r["line"] for r in recs] == ["1", "2"]
+        assert "error" in recs[0]
+        assert "error" not in recs[1]
+    code, recs, _ = _run(capsys, ["verify", path])
+    assert code == cli.EXIT_OK
+    assert "error" in recs[0] and "rule_reports" in recs[1]
 
 
 def test_solve_all_k_matches_nu_k(tmp_path, capsys):

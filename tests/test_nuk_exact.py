@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nulab import corpus, exact, families, oracle
-from nulab.errors import NotABridge, NotCubic
+from nulab.errors import NotABridge, NotCubic, TooLarge
 from nulab.graph import build
 
 
@@ -141,6 +141,100 @@ def test_node_count_reported():
     res = exact.nu_k(families.petersen(), 3)
     assert res.value == 13
     assert res.node_count >= 0
+
+
+@pytest.mark.parametrize(
+    "name, k, value, nodes",
+    [
+        ("fig5", 2, 26, 31386),
+        ("fig5", 3, 39, 73974),
+        ("triangle-replaced Petersen", 2, 29, 2098),
+        ("triangle-replaced Petersen", 3, 43, 14622),
+    ],
+)
+def test_search_tree_pinned(name, k, value, nodes):
+    """The decision search's node counts on the tight cubic examples: a
+    change to pruning, ordering or memoization moves them."""
+    g = {
+        "fig5": families.fig5_graph28,
+        "triangle-replaced Petersen": lambda: families.triangle_replace(
+            families.petersen()
+        ),
+    }[name]()
+    res = _check(g, k, value)
+    assert res.node_count == nodes
+
+
+def test_long_path_and_cycle_solve():
+    path, cycle = families.path(1201), families.cycle(1200)
+    assert path.m == cycle.m == 1200
+    _check(path, 3, 1200)
+    _check(cycle, 3, 1200)
+    assert exact.solve_profile(path, [3])[3].value == 1200
+
+
+def test_search_deeper_than_the_recursion_limit_is_too_large():
+    g = families.cycle(1200)
+    with pytest.raises(TooLarge):
+        exact._decide(g, [2] * g.n, 2, g.m, [0])
+
+
+def _within_caps_exists(g, cap, k, target):
+    """Whether a proper partial k-coloring with >= target colored edges
+    and at most cap[v] colored edges at each v exists: plain
+    backtracking over 'uncolored or color c' for each edge."""
+    used = [set() for _ in range(g.n)]
+
+    def rec(i, colored):
+        if colored >= target:
+            return True
+        if i == g.m or colored + g.m - i < target:
+            return False
+        u, v = g.edges[i]
+        if len(used[u]) < cap[u] and len(used[v]) < cap[v]:
+            for c in range(1, k + 1):
+                if c not in used[u] and c not in used[v]:
+                    used[u].add(c)
+                    used[v].add(c)
+                    found = rec(i + 1, colored + 1)
+                    used[u].discard(c)
+                    used[v].discard(c)
+                    if found:
+                        return True
+        return rec(i + 1, colored)
+
+    return rec(0, 0)
+
+
+@st.composite
+def _capped_instances(draw):
+    """A multigraph with at most 8 edges (parallel pairs likely), k,
+    per-vertex caps in 0..k and a target in 0..m+1."""
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=6))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    g = build(n, draw(st.permutations(edges)))
+    k = draw(st.integers(1, 4))
+    cap = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    return g, k, cap, draw(st.integers(0, g.m + 1))
+
+
+@given(_capped_instances())
+@settings(max_examples=150, deadline=None)
+def test_decide_matches_brute_force_within_caps(inst):
+    g, k, cap, target = inst
+    found = exact._decide(g, cap, k, target, [0])
+    assert (found is not None) == _within_caps_exists(g, cap, k, target)
+    if found is not None:
+        assert len(found) >= target
+        assert exact.ColorClasses(k, found).is_proper(g)
+        deg = [0] * g.n
+        for eid in found:
+            for v in g.edges[eid]:
+                deg[v] += 1
+        assert all(deg[v] <= cap[v] for v in range(g.n))
 
 
 @st.composite
