@@ -4,10 +4,7 @@ Subcommands: gen, solve, profile, verify, hunt, decompose, oracle.
 Graphs stream one per line (sparse6 or graph6, auto-detected by the
 leading ':'), results stream as JSON-Lines.  Exit codes: 0 clean, 2 a
 conjecture counterexample was found, 3 a theorem-kind rule was violated
-(a solver-bug signal), 1 usage or I/O errors.
-
-The env var NU_LAB_THREADS caps worker parallelism; evaluation is
-sequential (a single worker), which satisfies any cap, and results are
+(a solver-bug signal), 1 usage or I/O errors.  Results are
 deterministic and ordered by input line.
 """
 
@@ -15,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from itertools import islice
 from typing import Callable, Iterator, Optional, TextIO
 
 from . import corpus, exact, families, gio, oracle, rules, structure
@@ -29,7 +24,6 @@ from .errors import (
     LoopRejected,
     MissingProfileField,
     NotInClass,
-    NuLabError,
     SinkWriteError,
     TooLarge,
     UnknownFamily,
@@ -42,19 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONJECTURE = 2
 EXIT_THEOREM = 3
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("NU_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"NU_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit("NU_LAB_THREADS must be >= 1")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -186,46 +167,52 @@ def _parse_all_k(spec: str) -> list[int]:
     return ks
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    ks = _parse_all_k(args.all_k) if args.all_k else None
-    with _open_input(args.input) as stream:
-        for lineno, _, g in _read_graphs(stream):
+def _write_per_line(
+    path: Optional[str], solve: Callable[[MultiGraph, str], dict]
+) -> int:
+    """One record per graph line of the input: the fields solve(graph,
+    format) returns, with the time they took.  A graph outside the
+    solver's class or too large for it gets an error record instead."""
+    with _open_input(path) as stream:
+        for lineno, fmt, g in _read_graphs(stream):
             start = time.perf_counter_ns()
-            rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
             try:
-                if ks:
-                    for k, res in exact.solve_profile(g, ks).items():
-                        rec[f"nu{k}"] = res.value
-                else:
-                    res = exact.nu_k(g, args.k)
-                    rec["k"] = args.k
-                    rec["nu"] = res.value
-                    if args.certificate:
-                        rec["certificate"] = {
-                            str(e): c
-                            for e, c in sorted(res.certificate.assignment.items())
-                        }
-            except TooLarge as exc:
+                fields = solve(g, fmt)
+            except (NotInClass, TooLarge) as exc:
                 gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
                 continue
-            rec.update(_runtime(start))
-            gio.write_record(sys.stdout, rec)
+            rec = {"line": lineno, "graph_id": f"line{lineno}", **fields}
+            gio.write_record(sys.stdout, rec | _runtime(start))
     return EXIT_OK
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    ks = _parse_all_k(args.all_k) if args.all_k else None
+    if ks and args.certificate:
+        raise BadParameter("--certificate needs a single --k, not --all-k")
+
+    def solve(g: MultiGraph, _: str) -> dict:
+        if ks:
+            return {f"nu{k}": r.value for k, r in exact.solve_profile(g, ks).items()}
+        res = exact.nu_k(g, args.k)
+        rec = {"k": args.k, "nu": res.value}
+        if args.certificate:
+            rec["certificate"] = {
+                str(e): c for e, c in sorted(res.certificate.assignment.items())
+            }
+        return rec
+
+    return _write_per_line(args.input, solve)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    with _open_input(args.input) as stream:
-        for lineno, _, g in _read_graphs(stream):
-            start = time.perf_counter_ns()
-            rec = {"line": lineno, "graph_id": f"line{lineno}", "k": args.k}
-            try:
-                rec["nu"] = oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges)
-            except TooLarge as exc:
-                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-                continue
-            rec.update(_runtime(start))
-            gio.write_record(sys.stdout, rec)
-    return EXIT_OK
+    return _write_per_line(
+        args.input,
+        lambda g, _: {
+            "k": args.k,
+            "nu": oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +221,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k)
-    with _open_input(args.input) as stream:
-        for lineno, fmt, g in _read_graphs(stream):
-            start = time.perf_counter_ns()
-            try:
-                profile = compute_profile(g, ks=ks)
-            except TooLarge as exc:
-                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-                continue
-            rec = gio.ReportRecord(
-                graph_id=f"line{lineno}",
-                format=fmt,
-                profile=profile_as_dict(profile),
-                line=lineno,
-                **_runtime(start),
-            )
-            gio.write_record(sys.stdout, rec)
-    return EXIT_OK
+    return _write_per_line(
+        args.input,
+        lambda g, fmt: {
+            "format": fmt,
+            "profile": profile_as_dict(compute_profile(g, ks=ks)),
+            "rule_reports": (),
+        },
+    )
 
 
 def _report_dict(rep: rules.RuleReport) -> dict:
@@ -272,7 +250,7 @@ def _report_dict(rep: rules.RuleReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rule_ids = args.rules.split(",") if args.rules else None
+    rule_ids = rules.check_rule_ids(args.rules.split(",")) if args.rules else None
     ks = _parse_all_k(args.all_k)
     worst = EXIT_OK
     with _open_input(args.input) as stream:
@@ -303,68 +281,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    rule_ids = args.rule if args.rule else list(rules.CONJECTURE_IDS)
-    bad = set(rule_ids) - set(rules.CONJECTURE_IDS)
-    if bad:
-        print(f"hunt: not conjecture rules: {sorted(bad)}", file=sys.stderr)
-        return EXIT_USAGE
     ks = _parse_all_k(args.all_k)
-    if args.budget is not None and args.budget < 0:
-        raise BadParameter(f"--budget must be >= 0, got {args.budget}")
-    gio.write_record(
-        sys.stdout,
-        {
-            "header": True,
-            "rules": sorted(rule_ids),
-            "note": (
-                "desk-scale corpus; the full-scale verification "
-                "(e.g. all bridgeless cubic graphs up to n = 26) is not reproduced"
-            ),
-        },
-    )
-    found = False
+    lineno = 0
+
+    def graphs(stream: TextIO) -> Iterator[MultiGraph]:
+        nonlocal lineno
+        for lineno, _, g in _read_graphs(stream):
+            yield g
+
     with _open_input(args.input) as stream:
-        for lineno, _, g in islice(_read_graphs(stream), args.budget):
-            try:
-                profile = compute_profile(g, ks=ks)
-            except NuLabError as exc:
-                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
+        # hunt yields every result for a graph before drawing the next
+        # one, so lineno is the line of the graph each result is about
+        results = rules.hunt(
+            graphs(stream), args.rule, args.budget, lambda g: compute_profile(g, ks=ks)
+        )
+        gio.write_record(
+            sys.stdout,
+            {
+                "header": True,
+                "rules": sorted(args.rule or rules.CONJECTURE_IDS),
+                "note": (
+                    "desk-scale corpus; the full-scale verification "
+                    "(e.g. all bridgeless cubic graphs up to n = 26) is not reproduced"
+                ),
+            },
+        )
+        found = False
+        for res in results:
+            if isinstance(res, rules.HuntError):
+                gio.write_record(sys.stdout, {"line": lineno, "error": str(res.error)})
                 continue
-            for rep in rules.evaluate_all(profile, rule_ids):
-                if rep.applicable and rep.holds is False:
-                    found = True
-                    gio.write_record(
-                        sys.stdout,
-                        {
-                            "line": lineno,
-                            "counterexample": gio.emit_sparse6(g),
-                            "profile": profile_as_dict(profile),
-                            "rule_report": _report_dict(rep),
-                        },
-                    )
-                    if args.fail_on_violation:
-                        return EXIT_CONJECTURE
+            found = True
+            gio.write_record(
+                sys.stdout,
+                {
+                    "line": lineno,
+                    "counterexample": gio.emit_sparse6(res.graph),
+                    "profile": profile_as_dict(res.profile),
+                    "rule_report": _report_dict(res.report),
+                },
+            )
+            if args.fail_on_violation:
+                return EXIT_CONJECTURE
     return EXIT_CONJECTURE if found else EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    with _open_input(args.input) as stream:
-        for lineno, _, g in _read_graphs(stream):
-            rec: dict = {"line": lineno, "graph_id": f"line{lineno}"}
-            try:
-                dec = structure.oum_decompose(g)
-                r3 = structure.r3_via_reduction(g) if args.r3 else None
-            except (NotInClass, TooLarge) as exc:
-                gio.write_record(sys.stdout, rec | {"error": str(exc)})
-                continue
-            rec["variant"] = dec.variant.value
-            rec["base_n"] = dec.base_graph.n
-            rec["base_m"] = dec.base_graph.m
-            rec["diamonds"] = dec.total_diamonds
-            if args.r3:
-                rec["r3"] = r3
-            gio.write_record(sys.stdout, rec)
-    return EXIT_OK
+    def decompose(g: MultiGraph, _: str) -> dict:
+        dec = structure.oum_decompose(g)
+        rec = {
+            "variant": dec.variant.value,
+            "base_n": dec.base_graph.n,
+            "base_m": dec.base_graph.m,
+            "diamonds": dec.total_diamonds,
+        }
+        if args.r3:
+            rec["r3"] = structure.r3_via_reduction(g)
+        return rec
+
+    return _write_per_line(args.input, decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _worker_cap()
     try:
         return args.func(args)
     except (BadParameter, UnknownFamily) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import networkx as nx
 
@@ -52,15 +52,22 @@ def _random_pair(n: int, rng: random.Random) -> tuple[int, int]:
 
 
 def random_trees(count: int, max_n: int, seed: int) -> Iterator[MultiGraph]:
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield random_tree(rng.randint(2, max_n), rng)
+    return _random_sizes(random_tree, count, max_n, seed)
 
 
 def random_unicyclics(count: int, max_n: int, seed: int) -> Iterator[MultiGraph]:
+    return _random_sizes(random_unicyclic, count, max_n, seed)
+
+
+def _random_sizes(
+    make: Callable[[int, random.Random], MultiGraph], count: int, max_n: int, seed: int
+) -> Iterator[MultiGraph]:
+    """count graphs make(n, rng), n uniform in 2..max_n; max_n is
+    checked at the call, before any graph is drawn."""
+    if max_n < 2:
+        raise BadParameter(f"max_n must be >= 2, got {max_n}")
     rng = random.Random(seed)
-    for _ in range(count):
-        yield random_unicyclic(rng.randint(2, max_n), rng)
+    return (make(rng.randint(2, max_n), rng) for _ in range(count))
 
 
 def _partitions(n: int, min_part: int = 3) -> Iterator[tuple[int, ...]]:

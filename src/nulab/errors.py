@@ -75,4 +75,4 @@ class MissingProfileField(NuLabError):
 
 class TooLarge(NuLabError):
     """Instance exceeds the size cap of the exhaustive oracle, or a
-    decision search would recurse deeper than the interpreter allows."""
+    search would recurse deeper than the interpreter allows."""

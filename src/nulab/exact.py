@@ -1,22 +1,23 @@
 """Exact nu_k with optimality certificates.
 
-The solver runs an ascending sequence of decision searches: starting
-from a greedy incumbent L and a cheap upper bound U, it repeatedly asks
-"is there a proper partial k-coloring with at least L+1 colored edges?"
-until one refutation closes the gap.  Successes are cheap; only the
-final refutation is exhaustive.
+The solver runs one depth-first branch and bound per component: it
+starts from a greedy incumbent L and a cheap upper bound U, keeps the
+best coloring found so far, and ends when the search space is exhausted
+(the incumbent is optimal) or a coloring reaches U.  Every improvement
+shrinks the skip budget, the number of edges a coloring that beats the
+incumbent may leave uncolored.
 
-The decision search processes edges in a fixed order (descending
-endpoint degree sum, ties by id), breaks color symmetry (a new color
-must be exactly one more than the maximum used so far), canonicalizes
-parallel twins (colored twins form an id-prefix of their group), prunes
-on a per-vertex capacity bound, and memoizes refuted frontier states so
-that structurally repeated subproblems are refuted once.  The capacity
-bound is a running slack, updated in O(1) per decision, so the work per
-search node does not grow with the number of vertices.  The search
-recurses once per edge: one deeper than the recursion limit allows
-raises TooLarge, and the whole-graph shortcuts below are taken only
-where their search fits.
+The search processes edges in a fixed order (descending endpoint
+degree sum, ties by id), breaks color symmetry (a new color must be
+exactly one more than the maximum used so far), canonicalizes parallel
+twins (colored twins form an id-prefix of their group), prunes on a
+per-vertex capacity bound, and memoizes frontier states that cannot
+beat the incumbent, so that structurally repeated subproblems are
+refuted once.  The capacity bound is a running slack, updated in O(1)
+per decision, so the work per search node does not grow with the number
+of vertices.  The search recurses once per edge: one deeper than the
+recursion limit allows raises TooLarge, and the whole-graph shortcuts
+below are taken only where their search fits.
 
 Before searching, each component is reduced: pendant edges are forced
 into an optimum one at a time (each consuming a color slot at its inner
@@ -80,7 +81,7 @@ class NuResult:
 
 
 # ---------------------------------------------------------------------------
-# decision search
+# search
 
 
 def _static_order(h: MultiGraph) -> list[int]:
@@ -106,34 +107,35 @@ def _static_order(h: MultiGraph) -> list[int]:
     return order
 
 
-# Stack frames kept free for the callers of a decision search.
+# Stack frames kept free for the callers of a search.
 _STACK_RESERVE = 200
 
 
 def _searchable(h: MultiGraph) -> bool:
-    """Whether a decision search over h, one frame per edge, fits under
+    """Whether a search over h, one frame per edge, fits under
     the interpreter's recursion limit."""
     return h.m + _STACK_RESERVE < sys.getrecursionlimit()
 
 
-def _decide(
+def _search(
     h: MultiGraph,
     cap: Sequence[int],
     k: int,
-    target: int,
-    counter: list[int],
-) -> Optional[dict[int, int]]:
-    """A proper partial k-coloring of h with >= target colored edges
-    respecting per-vertex capacities, or None if impossible.
+    lower: int,
+    upper: int,
+) -> tuple[Optional[dict[int, int]], int]:
+    """A proper partial k-coloring of h within the per-vertex capacities,
+    and the number of search nodes visited.  The coloring is the first
+    one found with upper colored edges, or else a maximum one; it is
+    None if no coloring has more than lower colored edges.
 
     The search recurses once per edge, so an h with too many edges for
     the interpreter's recursion limit raises TooLarge."""
     m = h.m
-    budget = m - target
-    if budget < 0:
-        return None
+    if lower >= min(upper, m):
+        return None, 0
     if not _searchable(h):
-        raise TooLarge(f"a decision search over {m} edges exceeds the recursion limit")
+        raise TooLarge(f"a search over {m} edges exceeds the recursion limit")
     order = _static_order(h)
     ends = [h.edges[e] for e in order]
 
@@ -162,20 +164,30 @@ def _decide(
     ndeg = [0] * h.n  # colored-degree
     rem = list(h.degrees())
     assign: dict[int, int] = {}
+    # States whose every completion is no better than the incumbent; the
+    # incumbent only grows, so an entry stays true for the whole search.
     failed: set = set()
+    best = lower
+    budget = m - best - 1  # skips left to a coloring that beats best
+    found: Optional[dict[int, int]] = None
+    nodes = 0
 
     # slack = sum over v of min(cap[v] - ndeg[v], rem[v]), the capacity
     # bound's free endpoint slots, carried down the recursion: coloring
     # an edge takes one slot and one remaining edge at both endpoints
     # (slack - 2); skipping it lowers an endpoint's term only where its
-    # remaining edges do not exceed its free slots.
+    # remaining edges do not exceed its free slots.  rec returns True
+    # once a coloring reaches upper.
     def rec(i: int, colored: int, skips: int, maxc: int, slack: int) -> bool:
-        counter[0] += 1
-        if colored >= target:
-            return True
-        if i == m or colored + (slack >> 1) < target:
+        nonlocal best, budget, found, nodes
+        nodes += 1
+        if colored > best:
+            best, budget, found = colored, m - colored - 1, dict(assign)
+            if colored >= upper:
+                return True
+        if i == m or colored + (slack >> 1) <= best:
             return False
-        key = (i, skips, maxc, tuple(map(used.__getitem__, frontier[i])))
+        key = (i, skips, maxc, *map(used.__getitem__, frontier[i]))
         if key in failed:
             return False
         u, v = ends[i]
@@ -220,9 +232,11 @@ def _decide(
         failed.add(key)
         return False
 
-    if rec(0, 0, 0, 0, sum(map(min, cap, rem))):
-        return dict(assign)
-    return None
+    try:
+        rec(0, 0, 0, 0, sum(map(min, cap, rem)))
+    finally:
+        del rec  # rec refers to itself: free the memo now, not at a cyclic GC
+    return found, nodes
 
 
 def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
@@ -252,20 +266,12 @@ def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
 def _solve_bb(
     h: MultiGraph, cap: Sequence[int], k: int
 ) -> tuple[int, dict[int, int], int]:
-    """Exact capped optimum on one residual component via ascending
-    decision searches."""
-    upper = upper_bound(h, k, cap=cap)
-    best = _greedy_peel(h, cap, k)
-    low = len(best)
-    counter = [0]
-    while low < upper:
-        found = _decide(h, cap, k, low + 1, counter)
-        if found is None:
-            upper = low
-        else:
-            low = len(found)
-            best = found
-    return low, best, counter[0]
+    """Exact capped optimum on one residual component: one search that
+    starts from the greedy incumbent and stops at the upper bound."""
+    greedy = _greedy_peel(h, cap, k)
+    found, nodes = _search(h, cap, k, len(greedy), upper_bound(h, k, cap=cap))
+    best = greedy if found is None else found
+    return len(best), best, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +355,7 @@ def _is_cubic(g: MultiGraph) -> bool:
 
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     """Exact nu_k(g) with a verifying certificate.  Raises TooLarge if a
-    component needs a decision search deeper than the recursion limit
-    allows."""
+    component needs a search deeper than the recursion limit allows."""
     if k < 1:
         raise BadParameter("k must be positive")
     if g.m == 0:
@@ -359,10 +364,9 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     if _searchable(g) and (
         (_is_cubic(g) and k >= 4) or (simple and k >= g.max_degree() + 1)
     ):
-        counter = [0]
-        full = _decide(g, [k] * g.n, k, g.m, counter)
+        full, nodes = _search(g, [k] * g.n, k, g.m - 1, g.m)
         assert full is not None
-        return NuResult(g.m, ColorClasses(k, full), counter[0])
+        return NuResult(g.m, ColorClasses(k, full), nodes)
 
     total = 0
     assign: dict[int, int] = {}
@@ -386,8 +390,9 @@ def solve_profile(
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
     A bridgeless cubic graph whose search fits under the recursion limit
-    is first searched for a 3-edge-colouring (one decision search with
-    k = 3 and every edge coloured; a cubic graph with a bridge has none).  If one exists, its colour classes
+    is first searched for a 3-edge-colouring (one search with k = 3 for
+    every edge coloured; a cubic graph with a bridge has none).  If one
+    exists, its colour classes
     1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
     each result carries the node count of that one search.  Otherwise,
     and on every other graph, each k is solved by nu_k.  A caller that
@@ -403,13 +408,12 @@ def solve_profile(
         and _searchable(g)
         and (not g.bridges() if bridgeless is None else bridgeless)
     ):
-        counter = [0]
-        full = _decide(g, [3] * g.n, 3, g.m, counter)
+        full, nodes = _search(g, [3] * g.n, 3, g.m - 1, g.m)
         if full is not None:
             out = {}
             for k in ks:
                 cert = ColorClasses(k, {e: c for e, c in full.items() if c <= k})
-                out[k] = NuResult(cert.colored_count, cert, counter[0])
+                out[k] = NuResult(cert.colored_count, cert, nodes)
             return out
     return {k: nu_k(g, k, use_poly=use_poly) for k in ks}
 

@@ -11,9 +11,8 @@ terms for a non-integer).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, TextIO
+from typing import Any, Mapping, TextIO
 
 from .errors import LoopRejected, MalformedGraph6, MalformedSparse6, SinkWriteError
 from .graph import MultiGraph
@@ -185,18 +184,7 @@ def emit_sparse6(g: MultiGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(frozen=True)
-class ReportRecord:
-    graph_id: str
-    format: str
-    profile: Mapping[str, Any]
-    rule_reports: tuple = ()
-    runtime_ms: int = 0
-    runtime_us: int = 0
-    line: Optional[int] = None
+# records
 
 
 def serialize_rational(x) -> str:
@@ -218,24 +206,14 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {
-            k: _jsonable(getattr(value, k)) for k in value.__dataclass_fields__
-        }
     return value
 
 
 def write_record(sink: TextIO, record: Any) -> None:
-    """Write one record (a mapping or dataclass) as a JSON line.  Every
+    """Write one record (a mapping) as a JSON line.  Every
     integer and rational becomes an exact string; booleans, strings and
     None stay as they are."""
     try:
         sink.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
     except OSError as exc:
         raise SinkWriteError(str(exc)) from exc
-
-
-def emit_report(records: Iterable[ReportRecord], sink: TextIO) -> None:
-    """One JSON object per record, newline-delimited."""
-    for rec in records:
-        write_record(sink, rec)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import MissingProfileField, NuLabError
+from .errors import BadParameter, MissingProfileField, NuLabError
 from .graph import MultiGraph
 
 
@@ -377,11 +378,25 @@ THEOREM_KINDS: frozenset[str] = frozenset(
 )
 
 
+def check_rule_ids(
+    rule_ids: Iterable[str],
+    allowed: Iterable[str] = RULE_IDS,
+    what: str = "unknown rule ids",
+) -> set[str]:
+    """rule_ids as a set; BadParameter names every id not in allowed."""
+    ids = set(rule_ids)
+    bad = ids.difference(allowed)
+    if bad:
+        raise BadParameter(f"{what}: {sorted(bad)}")
+    return ids
+
+
 def evaluate_all(
     profile: GraphProfile, rule_ids: Optional[Iterable[str]] = None
 ) -> list[RuleReport]:
-    """One or more reports per registered (or selected) rule."""
-    wanted = set(rule_ids) if rule_ids is not None else None
+    """One or more reports per registered (or selected) rule; an unknown
+    rule id raises BadParameter."""
+    wanted = check_rule_ids(rule_ids) if rule_ids is not None else None
     out: list[RuleReport] = []
     for rule in REGISTRY:
         if wanted is not None and rule.rule_id not in wanted:
@@ -393,7 +408,14 @@ def evaluate_all(
 @dataclass(frozen=True)
 class HuntHit:
     graph: MultiGraph
+    profile: GraphProfile
     report: RuleReport
+
+
+@dataclass(frozen=True)
+class HuntError:
+    graph: MultiGraph
+    error: NuLabError
 
 
 def hunt(
@@ -401,31 +423,38 @@ def hunt(
     rule_ids: Optional[Iterable[str]] = None,
     budget: Optional[int] = None,
     profiler: Optional[Callable[[MultiGraph], GraphProfile]] = None,
-) -> list[HuntHit]:
+) -> Iterator[HuntHit | HuntError]:
     """Scan a corpus for conjecture counterexamples.
 
-    Only conjecture-kind rules are hunted; solver errors on individual
-    graphs are skipped without aborting the stream.  Returns every
-    violating (graph, report) pair; an empty list is the expected
-    outcome.
+    Only conjecture-kind rules are hunted, and at most budget graphs are
+    profiled.  Bad rule ids or a negative budget raise BadParameter at
+    the call; the scan itself runs as the result is iterated.  It yields
+    a HuntHit per violating report, and a HuntError, without ending the
+    scan, for a graph the profiler fails on.  Every result for one graph
+    is yielded before the next graph is drawn from corpus.  No hit is
+    the expected outcome.
     """
+    ids = check_rule_ids(
+        CONJECTURE_IDS if rule_ids is None else rule_ids,
+        CONJECTURE_IDS,
+        "not conjecture rules",
+    )
+    if budget is not None and budget < 0:
+        raise BadParameter(f"budget must be >= 0, got {budget}")
     if profiler is None:
         from .profiling import compute_profile
 
         profiler = compute_profile
-    ids = set(rule_ids) if rule_ids is not None else set(CONJECTURE_IDS)
-    bad = ids - set(CONJECTURE_IDS)
-    if bad:
-        raise ValueError(f"not conjecture rules: {sorted(bad)}")
-    hits: list[HuntHit] = []
-    for count, g in enumerate(corpus):
-        if budget is not None and count >= budget:
-            break
-        try:
-            profile = profiler(g)
-        except NuLabError:
-            continue
-        for rep in evaluate_all(profile, ids):
-            if rep.applicable and rep.holds is False:
-                hits.append(HuntHit(g, rep))
-    return hits
+
+    def scan() -> Iterator[HuntHit | HuntError]:
+        for g in islice(corpus, budget):
+            try:
+                profile = profiler(g)
+            except NuLabError as exc:
+                yield HuntError(g, exc)
+                continue
+            for rep in evaluate_all(profile, ids):
+                if rep.applicable and rep.holds is False:
+                    yield HuntHit(g, profile, rep)
+
+    return scan()

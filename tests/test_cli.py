@@ -205,20 +205,6 @@ def test_decompose_command(tmp_path, capsys):
     assert "error" in recs[1]  # Petersen has claws
 
 
-def test_worker_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("NU_LAB_THREADS", "4")
-    assert cli.main(["gen", "k4"]) == cli.EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv("NU_LAB_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        cli.main(["gen", "k4"])
-    capsys.readouterr()
-    monkeypatch.setenv("NU_LAB_THREADS", "0")
-    with pytest.raises(SystemExit):
-        cli.main(["gen", "k4"])
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -226,6 +212,8 @@ def test_worker_cap_env(monkeypatch, capsys):
         ["solve", "--all-k", "1-4"],
         ["profile", "--all-k", "0..2"],
         ["verify", "--all-k", "3..1"],
+        ["verify", "--rules", "T2.2.1,T2.2.l"],
+        ["solve", "--all-k", "1..3", "--certificate"],
     ],
 )
 def test_bad_parameters_exit_1(tmp_path, capsys, argv):
@@ -241,6 +229,14 @@ def test_gen_cubic_beyond_cap_exits_1(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "14" in out.err
+
+
+@pytest.mark.parametrize("family", ["random-trees", "random-unicyclic"])
+def test_gen_random_below_two_vertices_exits_1(capsys, family):
+    assert cli.main(["gen", family, "--max-n", "1"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("gen: ")
 
 
 def test_verify_reports_bad_lines(tmp_path, capsys):

@@ -140,6 +140,9 @@ def test_random_generators_reject_too_few_vertices(rng):
         with pytest.raises(BadParameter):
             corpus.random_multigraph(n, 1, rng)
         assert corpus.random_multigraph(n, 0, rng).m == 0
+        for many in (corpus.random_trees, corpus.random_unicyclics):
+            with pytest.raises(BadParameter):  # at the call, before iterating
+                many(3, n, 0)
     assert corpus.random_multigraph(2, 3, rng).edges == ((0, 1),) * 3
 
 

@@ -136,15 +136,15 @@ def test_serialize_rational():
 
 
 def test_emit_report_integers_as_strings():
-    rec = gio.ReportRecord(
-        graph_id="g0",
-        format="sparse6",
-        profile={"n": 10, "nu2": 9, "ratio": Fraction(16, 17), "flags": {"cubic": True}},
-        rule_reports=(),
-        runtime_ms=3,
-    )
+    rec = {
+        "graph_id": "g0",
+        "format": "sparse6",
+        "profile": {"n": 10, "nu2": 9, "ratio": Fraction(16, 17), "flags": {"cubic": True}},
+        "rule_reports": (),
+        "runtime_ms": 3,
+    }
     sink = io.StringIO()
-    gio.emit_report([rec], sink)
+    gio.write_record(sink, rec)
     lines = sink.getvalue().splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])
@@ -160,6 +160,6 @@ class _BrokenSink(io.StringIO):
 
 
 def test_emit_report_sink_error():
-    rec = gio.ReportRecord("g", "sparse6", {"n": 1})
+    rec = {"graph_id": "g", "format": "sparse6", "profile": {"n": 1}}
     with pytest.raises(SinkWriteError):
-        gio.emit_report([rec], _BrokenSink())
+        gio.write_record(_BrokenSink(), rec)

@@ -1,6 +1,8 @@
 """Branch-and-bound solver: oracle equivalence, certificates, bounds,
 pendant and bridge reductions."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,13 +149,13 @@ def test_node_count_reported():
     "name, k, value, nodes",
     [
         ("fig5", 2, 26, 31386),
-        ("fig5", 3, 39, 73974),
-        ("triangle-replaced Petersen", 2, 29, 2098),
-        ("triangle-replaced Petersen", 3, 43, 14622),
+        ("fig5", 3, 39, 73932),
+        ("triangle-replaced Petersen", 2, 29, 2092),
+        ("triangle-replaced Petersen", 3, 43, 14541),
     ],
 )
 def test_search_tree_pinned(name, k, value, nodes):
-    """The decision search's node counts on the tight cubic examples: a
+    """The search's node counts on the tight cubic examples: a
     change to pruning, ordering or memoization moves them."""
     g = {
         "fig5": families.fig5_graph28,
@@ -176,40 +178,50 @@ def test_long_path_and_cycle_solve():
 def test_search_deeper_than_the_recursion_limit_is_too_large():
     g = families.cycle(1200)
     with pytest.raises(TooLarge):
-        exact._decide(g, [2] * g.n, 2, g.m, [0])
+        exact._search(g, [2] * g.n, 2, g.m - 1, g.m)
 
 
-def _within_caps_exists(g, cap, k, target):
-    """Whether a proper partial k-coloring with >= target colored edges
-    and at most cap[v] colored edges at each v exists: plain
-    backtracking over 'uncolored or color c' for each edge."""
+def test_search_frees_its_memo_on_return():
+    """The search's tables and memo are freed by reference counting when
+    it returns, not left for the cyclic collector to find later."""
+    g = families.petersen()
+    gc.collect()
+    gc.disable()
+    try:
+        exact._search(g, [3] * g.n, 3, 0, g.m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _within_caps_maximum(g, cap, k):
+    """The most colored edges of a proper partial k-coloring with at
+    most cap[v] colored edges at each v: plain backtracking over
+    'uncolored or color c' for each edge."""
     used = [set() for _ in range(g.n)]
 
-    def rec(i, colored):
-        if colored >= target:
-            return True
-        if i == g.m or colored + g.m - i < target:
-            return False
+    def rec(i):
+        if i == g.m:
+            return 0
+        best = rec(i + 1)
         u, v = g.edges[i]
         if len(used[u]) < cap[u] and len(used[v]) < cap[v]:
             for c in range(1, k + 1):
                 if c not in used[u] and c not in used[v]:
                     used[u].add(c)
                     used[v].add(c)
-                    found = rec(i + 1, colored + 1)
+                    best = max(best, 1 + rec(i + 1))
                     used[u].discard(c)
                     used[v].discard(c)
-                    if found:
-                        return True
-        return rec(i + 1, colored)
+        return best
 
-    return rec(0, 0)
+    return rec(0)
 
 
 @st.composite
 def _capped_instances(draw):
     """A multigraph with at most 8 edges (parallel pairs likely), k,
-    per-vertex caps in 0..k and a target in 0..m+1."""
+    per-vertex caps in 0..k, lower in 0..m and upper in lower+1..m+1."""
     n = draw(st.integers(2, 5))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=6))
@@ -218,17 +230,19 @@ def _capped_instances(draw):
     g = build(n, draw(st.permutations(edges)))
     k = draw(st.integers(1, 4))
     cap = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
-    return g, k, cap, draw(st.integers(0, g.m + 1))
+    lower = draw(st.integers(0, g.m))
+    return g, k, cap, lower, draw(st.integers(lower + 1, g.m + 1))
 
 
 @given(_capped_instances())
 @settings(max_examples=150, deadline=None)
-def test_decide_matches_brute_force_within_caps(inst):
-    g, k, cap, target = inst
-    found = exact._decide(g, cap, k, target, [0])
-    assert (found is not None) == _within_caps_exists(g, cap, k, target)
+def test_search_matches_brute_force_within_caps(inst):
+    g, k, cap, lower, upper = inst
+    found, _ = exact._search(g, cap, k, lower, upper)
+    best = _within_caps_maximum(g, cap, k)
+    assert (found is None) == (best <= lower)
     if found is not None:
-        assert len(found) >= target
+        assert len(found) == min(best, upper)
         assert exact.ColorClasses(k, found).is_proper(g)
         deg = [0] * g.n
         for eid in found:

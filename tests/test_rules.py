@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nulab import corpus, families, rules
-from nulab.errors import MissingProfileField, NuLabError
+from nulab.errors import BadParameter, MissingProfileField, NuLabError
 from nulab.profiling import compute_profile, profile_as_dict, profile_from_dict
 from nulab.rules import GraphProfile, ProfileFlags
 
@@ -150,13 +150,14 @@ def test_profile_dict_round_trip():
 
 def test_hunt_clean_corpus():
     graphs = [families.cycle(6), families.path(5), families.k4()]
-    hits = rules.hunt(graphs, budget=10)
-    assert hits == []
+    assert list(rules.hunt(graphs, budget=10)) == []
 
 
 def test_hunt_rejects_theorem_ids():
     with pytest.raises(ValueError):
         rules.hunt([families.k4()], rule_ids=["T2.2.1"])
+    with pytest.raises(BadParameter):
+        rules.evaluate_all(compute_profile(families.k4()), ["T2.2.l"])
 
 
 def test_hunt_budget_and_error_skip():
@@ -169,9 +170,11 @@ def test_hunt_budget_and_error_skip():
         return compute_profile(g, ks=(1, 2, 3))
 
     graphs = [families.path(1), families.cycle(4), families.cycle(5), families.cycle(6)]
-    hits = rules.hunt(graphs, budget=3, profiler=profiler)
-    assert hits == []
+    results = list(rules.hunt(graphs, budget=3, profiler=profiler))
     assert len(calls) == 3  # budget respected; the failing graph was skipped
+    assert len(results) == 1 and isinstance(results[0], rules.HuntError)
+    assert results[0].graph is graphs[0]
+    assert str(results[0].error) == "synthetic failure"
 
 
 CROSS_ROUTE_IDS = ("R3-LE-OG", "R3-0-IFF-OG-0", "OG-EVEN")
