@@ -15,8 +15,6 @@ import random
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-import networkx as nx
-
 from .errors import BadParameter
 from .graph import MultiGraph
 
@@ -268,14 +266,55 @@ def _isomorphic(a: _Cubic, b: _Cubic) -> bool:
 
 
 def all_trees(n: int) -> list[MultiGraph]:
-    """One tree per isomorphism class on n >= 2 vertices."""
+    """One tree per isomorphism class on n >= 2 vertices.
+
+    Each tree is a level sequence (the depth of every vertex in preorder,
+    children in non-increasing order of their subtrees' sequences) rooted
+    at a centre, visited in decreasing lexicographic order by the
+    successor rule of Wright, Richmond, Odlyzko and McKay ("Constant time
+    generation of free trees", SIAM J. Comput. 1986).  A rooted sequence
+    stands for its free tree if the root's first subtree is no taller
+    than the rest of the tree and, at equal height, not larger in size
+    and then in sequence order (so of the two centres of a bicentral
+    tree, one is chosen).  Every later sequence with the same first
+    subtree fails the same test, so a failing one jumps past them all.
+    Vertex i is the i-th vertex in preorder, and edge i - 1 joins it to
+    its parent."""
     if n == 2:
         return [MultiGraph(2, [(0, 1)])]
     out = []
-    for t in nx.nonisomorphic_trees(n):
-        nodes = sorted(t.nodes())
-        idx = {v: i for i, v in enumerate(nodes)}
-        out.append(MultiGraph(n, [(idx[u], idx[v]) for u, v in t.edges()]))
+    # the path rooted at its centre: the largest sequence that passes
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        second = next((i for i in range(2, n) if levels[i] == 1), n)
+        first = [x - 1 for x in levels[1:second]]
+        rest = [0] + levels[second:]
+        if (max(rest), len(rest), rest) < (max(first), len(first), first):
+            levels = _next_rooted(levels, second - 1)
+            continue
+        parent_at = [0] * n
+        edges = []
+        for i in range(1, n):
+            edges.append((parent_at[levels[i] - 1], i))
+            parent_at[levels[i]] = i
+        out.append(MultiGraph(n, edges))
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:  # the star, the smallest sequence
+            return out
+        levels = _next_rooted(levels, p)
+
+
+def _next_rooted(levels: list[int], p: int) -> list[int]:
+    """The next smaller rooted level sequence that keeps positions before
+    p (the rule of Beyer and Hedetniemi): vertex p moves up to the
+    level of its parent's place, and from p on the sequence repeats the
+    subtree that now ends at p."""
+    q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+    out = levels[:p] + [0] * (len(levels) - p)
+    for i in range(p, len(levels)):
+        out[i] = out[i - p + q]
     return out
 
 

@@ -36,12 +36,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from . import poly
 from .errors import BadParameter, NotABridge, NotCubic, TooLarge
 from .graph import MultiGraph
-from .matching import max_matching
+from .matching import mate, max_matching_ids
 
 
 @dataclass(frozen=True)
@@ -240,22 +238,21 @@ def _search(
 
 
 def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
-    """Incumbent: k passes of maximum matching on the still-free graph."""
+    """Incumbent: k passes of maximum matching on the still-free graph,
+    each pass coloring the lowest free edge id of every matched pair."""
     free = list(cap)
     unused: set[int] = set(range(h.m))
     assign: dict[int, int] = {}
     for c in range(1, k + 1):
-        gx = nx.Graph()
-        pair_ids: dict[tuple[int, int], list[int]] = {}
-        for eid in sorted(unused):
-            u, v = h.edges[eid]
-            if free[u] > 0 and free[v] > 0:
-                gx.add_edge(u, v)
-                pair_ids.setdefault((u, v), []).append(eid)
-        if gx.number_of_edges() == 0:
+        live = [
+            (eid, (u, v))
+            for eid, (u, v) in ((e, h.edges[e]) for e in sorted(unused))
+            if free[u] > 0 and free[v] > 0
+        ]
+        if not live:
             break
-        for u, v in nx.max_weight_matching(gx, maxcardinality=True):
-            eid = pair_ids[(min(u, v), max(u, v))][0]
+        for eid in max_matching_ids(h.n, live):
+            u, v = h.edges[eid]
             assign[eid] = c
             unused.discard(eid)
             free[u] -= 1
@@ -447,9 +444,13 @@ def upper_bound(
         deg[v] += 1
     s = sum(min(cap[v] - cdeg[v], udeg[v]) for v in range(g.n))
     cap_bound = len(colored) + min(g.m - len(colored), s // 2)
-    blocked = [eid for eid, (u, v) in enumerate(g.edges) if cap[u] == 0 or cap[v] == 0]
-    matchable = g.without_edges(blocked) if blocked else g
-    return min(cap_bound, k * len(max_matching(matchable)))
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if cap[u] > 0 and cap[v] > 0:
+            adj[u].append(v)
+            adj[v].append(u)
+    matched = sum(w >= 0 for w in mate(g.n, adj)) // 2
+    return min(cap_bound, k * matched)
 
 
 def decompose_bridge(g: MultiGraph, eid: int, k: int) -> int:

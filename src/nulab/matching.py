@@ -1,7 +1,7 @@
 """Maximum matching, perfect matching enumeration, 2-factors and o(G).
 
-Maximum matching delegates to networkx's blossom-based
-max_weight_matching (exact for cardinality); everything built on top of
+Maximum matching is Edmonds' blossom algorithm for cardinality, in its
+breadth-first form with base contraction; everything built on top of
 perfect matchings is exhaustive and deterministic, which is what the
 inequality engine needs at desk scale.
 """
@@ -9,8 +9,7 @@ inequality engine needs at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Iterable, Sequence
 
 from .errors import NoTwoFactor, NotCubic, NotPerfect
 from .graph import MultiGraph
@@ -34,15 +33,153 @@ class TwoFactor:
 def max_matching(g: MultiGraph) -> Matching:
     """A maximum-cardinality matching (parallel edges collapse; the
     lowest edge id is reported for each matched pair)."""
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(set(g.edges))
-    mate = nx.max_weight_matching(h, maxcardinality=True)
+    return Matching(frozenset(max_matching_ids(g.n, enumerate(g.edges))))
+
+
+def max_matching_ids(
+    n: int, edges: Iterable[tuple[int, tuple[int, int]]]
+) -> list[int]:
+    """A maximum-cardinality matching of the edges (id, (u, v)), u < v,
+    on vertices 0..n-1: for each matched pair, in the order of its
+    smaller vertex, the first id listed for that pair."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     first_id: dict[tuple[int, int], int] = {}
-    for eid, e in enumerate(g.edges):
-        first_id.setdefault(e, eid)
-    ids = frozenset(first_id[(min(u, v), max(u, v))] for u, v in mate)
-    return Matching(ids)
+    for eid, (u, v) in edges:
+        if (u, v) not in first_id:
+            first_id[(u, v)] = eid
+            adj[u].append(v)
+            adj[v].append(u)
+    return [first_id[(v, w)] for v, w in enumerate(mate(n, adj)) if v < w]
+
+
+def mate(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """A maximum-cardinality matching of the loopless graph on vertices
+    0..n-1 with neighbour lists adj (parallel entries allowed), as the
+    list of each vertex's partner, -1 where it is unmatched.
+
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) in
+    the O(n^3) breadth-first form with base contraction (Gabow, JACM
+    1976), started from _greedy_start.  An alternating tree is grown
+    from each vertex the start leaves unmatched; a vertex the search
+    cannot augment from stays unmatched under every later augmentation,
+    so one pass over the roots is enough.  The result depends only on n
+    and the order of adj."""
+    partner = _greedy_start(n, adj)
+    for root in range(n):
+        if partner[root] < 0 and adj[root]:
+            _augment(root, adj, partner)
+    return partner
+
+
+def _greedy_start(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """A maximal matching in the manner of Karp and Sipser: repeatedly
+    match the unmatched vertex with the fewest adj entries naming
+    unmatched vertices to its unmatched neighbour with the fewest, so a
+    vertex with one left is matched first.  Ties go to the lower vertex,
+    then to the neighbour first in adj."""
+    partner = [-1] * n
+    deg = [len(a) for a in adj]  # entries naming an unmatched vertex
+    while True:
+        v = -1
+        for x in range(n):
+            if partner[x] < 0 and deg[x] > 0 and (v < 0 or deg[x] < deg[v]):
+                v = x
+                if deg[x] == 1:
+                    break
+        if v < 0:
+            return partner
+        w = -1
+        for x in adj[v]:
+            if partner[x] < 0 and (w < 0 or deg[x] < deg[w]):
+                w = x
+        partner[v], partner[w] = w, v
+        for x in adj[v]:
+            deg[x] -= 1
+        for x in adj[w]:
+            deg[x] -= 1
+
+
+def _augment(root: int, adj: Sequence[Sequence[int]], partner: list[int]) -> None:
+    """Grow an alternating tree from the unmatched vertex root and, if it
+    reaches an unmatched vertex, flip the augmenting path in partner.
+
+    Outer vertices (the root, matched partners of inner vertices, and
+    every vertex of a contracted blossom) are scanned in BFS order.
+    parent[w] is the outer vertex that first reached the inner vertex w;
+    base[v] is the base of the outermost blossom holding v.  Contracting
+    a blossom also sets parent on its outer vertices, pointing across
+    the closing edge, so that a path through the blossom can be walked
+    back to the root along parent and partner alone."""
+    n = len(partner)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or partner[v] == w:
+                continue
+            if outer[w]:
+                # an odd cycle: contract it onto the nearest common base
+                b = _common_base(v, w, base, parent, partner)
+                blossom = [False] * n
+                _mark_path(v, w, b, base, parent, partner, blossom)
+                _mark_path(w, v, b, base, parent, partner, blossom)
+                for x in range(n):
+                    if blossom[base[x]]:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if partner[w] < 0:
+                    while w >= 0:  # flip the path back to the root
+                        u = parent[w]
+                        nxt = partner[u]
+                        partner[w], partner[u] = u, w
+                        w = nxt
+                    return
+                outer[partner[w]] = True
+                queue.append(partner[w])
+
+
+def _common_base(
+    a: int, b: int, base: list[int], parent: list[int], partner: list[int]
+) -> int:
+    """The base of the smallest blossom holding both outer vertices a
+    and b: the first base on b's tree path to the root that also lies on
+    a's."""
+    on_path = set()
+    while True:
+        a = base[a]
+        on_path.add(a)
+        if partner[a] < 0:
+            break
+        a = parent[partner[a]]
+    while base[b] not in on_path:
+        b = parent[partner[base[b]]]
+    return base[b]
+
+
+def _mark_path(
+    v: int,
+    child: int,
+    b: int,
+    base: list[int],
+    parent: list[int],
+    partner: list[int],
+    blossom: list[bool],
+) -> None:
+    """Walk from outer v up to the blossom base b, marking the bases met
+    and pointing each outer vertex on the way at the vertex below it on
+    the cycle (child for v itself)."""
+    while base[v] != b:
+        blossom[base[v]] = blossom[base[partner[v]]] = True
+        parent[v] = child
+        child = partner[v]
+        v = parent[child]
 
 
 def enumerate_perfect_matchings(g: MultiGraph, limit: int = 10**9) -> list[Matching]:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour including exit codes."""
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -362,3 +363,15 @@ def test_gen_cubic_census(capsys):
         g = gio.parse_sparse6(line)
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+
+
+def test_runtime_imports_leave_networkx_out():
+    """networkx is a test dependency: importing the package, the CLI and
+    the corpus generators does not load it."""
+    probe = (
+        "import sys, nulab, nulab.cli, nulab.corpus; print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

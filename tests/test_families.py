@@ -1,6 +1,7 @@
 """Named constructions: sizes, structure, parameter validation, and the
 exhaustive cubic corpus census."""
 
+import networkx as nx
 import pytest
 
 from nulab import corpus, families, structure
@@ -119,10 +120,24 @@ def test_small_constructors():
 
 
 def test_tree_catalogue_counts():
-    assert len(corpus.all_trees(2)) == 1
-    assert len(corpus.all_trees(6)) == 6
-    assert len(corpus.all_trees(7)) == 11
-    assert len(corpus.all_trees(8)) == 23
+    # OEIS A000055, n = 2..14
+    want = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+    for n, count in enumerate(want, start=2):
+        trees = corpus.all_trees(n)
+        assert len(trees) == count
+        assert all(t.m == n - 1 and t.is_connected() for t in trees)
+
+
+def test_tree_catalogue_matches_networkx():
+    """One-to-one up to isomorphism with networkx's catalogue."""
+    for n in range(2, 11):
+        theirs = list(nx.nonisomorphic_trees(n))
+        partners = [
+            [i for i, r in enumerate(theirs) if nx.is_isomorphic(nx.Graph(t.edges), r)]
+            for t in corpus.all_trees(n)
+        ]
+        assert sorted(p for ps in partners for p in ps) == list(range(len(theirs)))
+        assert all(len(ps) == 1 for ps in partners)
 
 
 def test_random_generators_respect_class(rng):
