@@ -19,18 +19,24 @@ of vertices.  The search recurses once per edge: one deeper than the
 recursion limit allows raises TooLarge, and the whole-graph shortcuts
 below are taken only where their search fits.
 
-Before searching, each component is reduced: pendant edges are forced
-into an optimum one at a time (each consuming a color slot at its inner
-endpoint), and residual components whose cycle rank is at most 1 are
-routed to the polynomial solver.  Capacities below k thread through the
+Before any search, each solve reduces the graph once, whatever k is:
+pendant edges are peeled one at a time (last in, first out), and the
+surviving 2-core is split into its connected parts, at most one per
+component of the graph.  Per k, the peeled edges are forced into an
+optimum in peeling order (each consuming a color slot at both ends),
+each part of cycle rank at most 1 goes to the polynomial solver (if
+use_poly is set) and every other part to branch and bound, and the
+forced edges are colored last.  Capacities below k thread through the
 whole pipeline.
 
 solve_profile answers several k at once: on a class-1 cubic graph one
-3-edge-colouring certifies every nu_k; otherwise it calls nu_k per k.
+3-edge-colouring certifies every nu_k; otherwise it shares one
+reduction across its ks.
 """
 
 from __future__ import annotations
 
+import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import poly
 from .errors import BadParameter, NotABridge, NotCubic, TooLarge
-from .graph import MultiGraph
+from .graph import Component, MultiGraph
 from .matching import mate, max_matching_ids
 
 
@@ -85,23 +91,35 @@ class NuResult:
 def _static_order(h: MultiGraph) -> list[int]:
     """Connected processing order: prefer edges closing into the visited
     region (constraints bite immediately and the memo frontier stays
-    narrow), then heavier endpoint degree sums, then lower id."""
+    narrow), then heavier endpoint degree sums, then lower id.
+
+    One heap per count of visited endpoints (0, 1, 2); an edge moves up
+    a heap when one of its endpoints is first visited, and stale entries
+    are dropped when they reach the top."""
     deg = h.degrees()
-    remaining = set(range(h.m))
-    visited: set[int] = set()
+    rank = [(-deg[u] - deg[v], e) for e, (u, v) in enumerate(h.edges)]
+    seen = [0] * h.m  # visited endpoints per edge; 3 once ordered
+    heaps: list[list[tuple[int, int]]] = [list(rank), [], []]
+    heapq.heapify(heaps[0])
+    visited = [False] * h.n
     order: list[int] = []
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda e: (
-                sum(1 for x in h.edges[e] if x in visited),
-                deg[h.edges[e][0]] + deg[h.edges[e][1]],
-                -e,
-            ),
-        )
-        order.append(best)
-        remaining.remove(best)
-        visited.update(h.edges[best])
+    for _ in range(h.m):
+        for count in (2, 1, 0):
+            heap = heaps[count]
+            while heap and seen[heap[0][1]] != count:
+                heapq.heappop(heap)
+            if heap:
+                break
+        e = heapq.heappop(heap)[1]
+        order.append(e)
+        seen[e] = 3
+        for v in h.edges[e]:
+            if not visited[v]:
+                visited[v] = True
+                for f, _ in h.incident(v):
+                    if seen[f] < 2:
+                        seen[f] += 1
+                        heapq.heappush(heaps[seen[f]], rank[f])
     return order
 
 
@@ -275,79 +293,131 @@ def _solve_bb(
 # reductions
 
 
-def reduce_pendant(g: MultiGraph, k: int) -> set[int]:
-    """Maximal iteratively forced pendant edge set: each forced edge can
-    be assumed colored in some optimum, consuming one color slot at its
-    inner endpoint."""
-    forced, _ = _pendant_reduce(g, [k] * g.n)
-    return set(forced)
+def _reduce(g: MultiGraph) -> tuple[list[tuple[int, int, int]], list[Component]]:
+    """The part of a solve that does not depend on k: the peeled pendant
+    edges as (edge id, leaf, inner endpoint) in peeling order, and the
+    parts of the surviving 2-core, with vertices and edge ids in g.
 
-
-def _pendant_reduce(g: MultiGraph, cap: list[int]) -> tuple[list[int], list[int]]:
-    """Strip pendant edges, forcing each one whose endpoints both still
-    have a free slot.  Returns (forced edge ids in forcing order,
-    surviving edge ids); mutates cap."""
+    The peel is last in, first out, so each component is peeled in the
+    order it would be on its own.  Peeling keeps a component connected,
+    so each component has at most one part."""
     peeled, survivors = g.strip_pendants()
+    if not peeled:
+        return peeled, [p for p in g.split_components() if p.edge_ids]
+    if not survivors:
+        return peeled, []
+    # a peeled edge's leaf is outside the core, so the core's vertices
+    # induce exactly the surviving edges
+    verts = sorted({v for e in survivors for v in g.edges[e]})
+    return peeled, [
+        Component(
+            [verts[v] for v in p.vertices], [survivors[e] for e in p.edge_ids], p.graph
+        )
+        for p in g.induced(verts).split_components()
+    ]
+
+
+def _force(peeled: Sequence[tuple[int, int, int]], cap: list[int]) -> list[int]:
+    """The peeled edges forced into an optimum, in peeling order: each one
+    whose endpoints both still have a free slot.  Mutates cap."""
     forced: list[int] = []
     for eid, leaf, inner in peeled:
         if cap[leaf] >= 1 and cap[inner] >= 1:
             forced.append(eid)
             cap[leaf] -= 1
             cap[inner] -= 1
-    return forced, survivors
+    return forced
 
 
-def _color_forced(
-    g: MultiGraph, forced: Sequence[int], k: int, assign: dict[int, int]
-) -> None:
-    """Color forced pendant edges, newest first; a free color always
-    exists by the capacity accounting of the forcing pass."""
-    used: list[set[int]] = [set() for _ in range(g.n)]
+def reduce_pendant(g: MultiGraph, k: int) -> set[int]:
+    """Maximal iteratively forced pendant edge set: each forced edge can
+    be assumed colored in some optimum, consuming one color slot at its
+    inner endpoint."""
+    peeled, _ = g.strip_pendants()
+    return set(_force(peeled, [k] * g.n))
+
+
+def _color_forced(g: MultiGraph, forced: list[int], assign: dict[int, int]) -> None:
+    """Color forced pendant edges, newest first, each with the smallest
+    color free at both ends; one exists within 1..k by the capacity
+    accounting of the forcing pass."""
+    if not forced:
+        return
+    used = [0] * g.n  # bitmask of colors at each vertex
     for eid, c in assign.items():
-        for v in g.endpoints(eid):
-            used[v].add(c)
-    for eid in reversed(list(forced)):
-        u, v = g.endpoints(eid)
-        c = next(c for c in range(1, k + 1) if c not in used[u] and c not in used[v])
-        assign[eid] = c
-        used[u].add(c)
-        used[v].add(c)
+        u, v = g.edges[eid]
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    for eid in reversed(forced):
+        u, v = g.edges[eid]
+        taken = used[u] | used[v] | 1  # bit 0 is no color
+        bit = ~taken & (taken + 1)
+        assign[eid] = bit.bit_length() - 1
+        used[u] |= bit
+        used[v] |= bit
 
 
 # ---------------------------------------------------------------------------
 # main entry points
 
 
-def _solve_component(
-    sub: MultiGraph, k: int, use_poly: bool
-) -> tuple[int, dict[int, int], int]:
-    cap = [k] * sub.n
-    forced, survivors = _pendant_reduce(sub, cap)
-    assign: dict[int, int] = {}
+def _solve_reduced(
+    g: MultiGraph,
+    peeled: Sequence[tuple[int, int, int]],
+    parts: Sequence[Component],
+    k: int,
+    use_poly: bool,
+) -> NuResult:
+    """nu_k(g) from its reduction: force the peeled edges, solve each
+    2-core part within the capacities they leave, color the forced edges."""
+    cap = [k] * g.n
+    forced = _force(peeled, cap)
     value = len(forced)
+    assign: dict[int, int] = {}
     nodes = 0
-    if survivors:
-        res = MultiGraph(sub.n, [sub.edges[e] for e in survivors])
-        parts = [p for p in res.split_components() if p.edge_ids]
-        if use_poly and all(p.cycle_rank <= 1 for p in parts):
-            opt = poly.best_degree_bounded(res, k, cap)
-            res_assign = poly.color_sparse_subgraph(res, opt.chosen_edges, k)
+    for p in parts:
+        pcap = [cap[v] for v in p.vertices]
+        if use_poly and p.cycle_rank <= 1:
+            opt = poly.best_degree_bounded(p.graph, k, pcap)
+            local = poly.color_sparse_subgraph(p.graph, opt.chosen_edges, k)
             value += opt.value
         else:
-            res_assign = {}
-            for p in parts:
-                pcap = [cap[v] for v in p.vertices]
-                cval, cassign, cnodes = _solve_bb(p.graph, pcap, k)
-                value += cval
-                nodes += cnodes
-                res_assign.update({p.edge_ids[e]: c for e, c in cassign.items()})
-        assign.update({survivors[e]: c for e, c in res_assign.items()})
-    _color_forced(sub, forced, k, assign)
-    return value, assign, nodes
+            pvalue, local, pnodes = _solve_bb(p.graph, pcap, k)
+            value += pvalue
+            nodes += pnodes
+        assign.update({p.edge_ids[e]: c for e, c in local.items()})
+    _color_forced(g, forced, assign)
+    return NuResult(value, ColorClasses(k, assign), nodes)
 
 
 def _is_cubic(g: MultiGraph) -> bool:
     return g.n > 0 and all(d == 3 for d in g.degrees())
+
+
+def _solve_each(
+    g: MultiGraph, ks: Iterable[int], use_poly: bool, cubic: bool
+) -> dict[int, NuResult]:
+    """nu_k(g) for every k in ks.  Where every edge can be colored (k >= 4
+    on a cubic graph by Shannon, k above the maximum degree of a simple
+    graph by Vizing) one search finds that coloring; every other k is
+    solved from one reduction of g, made at the first such k."""
+    if g.m == 0:
+        return {k: NuResult(0, ColorClasses(k), 0) for k in ks}
+    searchable = _searchable(g)
+    simple = len(set(g.edges)) == g.m
+    max_degree = g.max_degree()
+    reduction = None
+    out: dict[int, NuResult] = {}
+    for k in ks:
+        if searchable and ((cubic and k >= 4) or (simple and k > max_degree)):
+            full, nodes = _search(g, [k] * g.n, k, g.m - 1, g.m)
+            assert full is not None
+            out[k] = NuResult(g.m, ColorClasses(k, full), nodes)
+            continue
+        if reduction is None:
+            reduction = _reduce(g)
+        out[k] = _solve_reduced(g, *reduction, k, use_poly)
+    return out
 
 
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
@@ -355,27 +425,7 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     component needs a search deeper than the recursion limit allows."""
     if k < 1:
         raise BadParameter("k must be positive")
-    if g.m == 0:
-        return NuResult(0, ColorClasses(k), 0)
-    simple = len(set(g.edges)) == g.m
-    if _searchable(g) and (
-        (_is_cubic(g) and k >= 4) or (simple and k >= g.max_degree() + 1)
-    ):
-        full, nodes = _search(g, [k] * g.n, k, g.m - 1, g.m)
-        assert full is not None
-        return NuResult(g.m, ColorClasses(k, full), nodes)
-
-    total = 0
-    assign: dict[int, int] = {}
-    nodes = 0
-    for comp in g.split_components():
-        if not comp.edge_ids:
-            continue
-        cval, cassign, cnodes = _solve_component(comp.graph, k, use_poly)
-        total += cval
-        nodes += cnodes
-        assign.update({comp.edge_ids[e]: c for e, c in cassign.items()})
-    return NuResult(total, ColorClasses(k, assign), nodes)
+    return _solve_each(g, (k,), use_poly, _is_cubic(g))[k]
 
 
 def solve_profile(
@@ -392,16 +442,18 @@ def solve_profile(
     exists, its colour classes
     1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
     each result carries the node count of that one search.  Otherwise,
-    and on every other graph, each k is solved by nu_k.  A caller that
-    already knows whether g has a bridge passes it as bridgeless, so the
-    bridges are not searched again."""
+    and on every other graph, the ks share one reduction of g, and each
+    result is the one nu_k gives.  A caller that already knows whether g
+    has a bridge passes it as bridgeless, so the bridges are not
+    searched again."""
     ks = sorted(set(ks))
     if not ks:
         return {}
     if ks[0] < 1:
         raise BadParameter("k must be positive")
+    cubic = _is_cubic(g)
     if (
-        _is_cubic(g)
+        cubic
         and _searchable(g)
         and (not g.bridges() if bridgeless is None else bridgeless)
     ):
@@ -412,7 +464,7 @@ def solve_profile(
                 cert = ColorClasses(k, {e: c for e, c in full.items() if c <= k})
                 out[k] = NuResult(cert.colored_count, cert, nodes)
             return out
-    return {k: nu_k(g, k, use_poly=use_poly) for k in ks}
+    return _solve_each(g, ks, use_poly, cubic)
 
 
 def resistance_r3(g: MultiGraph) -> int:

@@ -151,8 +151,11 @@ class MultiGraph:
 
         Relabelling is monotone in vertex and edge ids, so orders that
         break ties by id are the same in the subgraph as in the graph.
+        A connected graph is its own only component, with identity ids.
         """
         comps = self.components()
+        if len(comps) == 1:
+            return [Component(comps[0], list(range(self.m)), self)]
         comp_of = [0] * self.n
         index = [0] * self.n
         for ci, comp in enumerate(comps):

@@ -4,7 +4,8 @@ The workhorse is a two-state tree DP computing a maximum subgraph with
 per-vertex degree caps.  For a forest with max degree <= k the chosen
 subgraph is always k-edge-colorable; for a unicyclic graph the only
 obstruction is a fully chosen odd cycle at k = 2, which is handled by
-splitting on whether some cycle edge is excluded.
+leaving out a best cycle edge, found in linear time by a DP around the
+cycle.
 
 Capacities below k (used by the branch-and-bound front end when pendant
 edges have been forced) are supported throughout.
@@ -12,8 +13,9 @@ edges have been forced) are supported throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameter, DeficiencyUndefined, NotAForest, NotUnicyclic
 from .graph import MultiGraph
@@ -31,6 +33,60 @@ class DegreeBoundedOptimum:
     chosen_edges: frozenset[int]
 
 
+Gains = list[tuple[int, int]]  # (gain, child edge id), best first
+
+
+def _subtree_gains(
+    g: MultiGraph, active: set[int], cap: Sequence[int], roots: Iterable[int]
+) -> tuple[list[int], list[list[tuple[int, int]]], list[tuple[int, Gains]]]:
+    """Tree DP over the active (forest) edges with deg(v) <= cap[v], each
+    tree rooted at its first vertex in roots.
+
+    Returns the root of each tree, each vertex's children as (edge id,
+    child), and per vertex (base, gains): base is the best of the
+    subtrees below it with no child edge taken, and gains lists each
+    child edge whose taking gains, best first, ties by lower id.  A
+    vertex with c free slots takes its first c gains."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in active:
+        u, v = g.endpoints(eid)
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    children: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    table: list[tuple[int, Gains]] = [(0, [])] * g.n
+    seen = [False] * g.n
+    tree_roots = []
+    for root in roots:
+        if seen[root]:
+            continue
+        tree_roots.append(root)
+        order = []
+        stack = [(root, -1)]
+        seen[root] = True
+        while stack:
+            v, pe = stack.pop()
+            order.append(v)
+            for eid, w in adj[v]:
+                if eid != pe and not seen[w]:
+                    seen[w] = True
+                    children[v].append((eid, w))
+                    stack.append((w, eid))
+        for v in reversed(order):
+            base = 0
+            gains = []
+            for eid, w in children[v]:
+                wbase, wgains = table[w]
+                base += wbase + sum(t[0] for t in wgains[: cap[w]])
+                if cap[w] >= 1:  # else w cannot take its parent edge
+                    # the edge takes w's last slot and the gain it held
+                    gain = 1 - (wgains[cap[w] - 1][0] if len(wgains) >= cap[w] else 0)
+                    if gain > 0:
+                        gains.append((gain, eid))
+            gains.sort(key=lambda t: (-t[0], t[1]))
+            table[v] = (base, gains)
+    return tree_roots, children, table
+
+
 def _forest_dp(
     g: MultiGraph, active: set[int], cap: Sequence[int]
 ) -> tuple[int, set[int]]:
@@ -38,67 +94,22 @@ def _forest_dp(
 
     Returns (size, chosen edge ids).  Ties prefer excluding an edge.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in active:
-        u, v = g.endpoints(eid)
-        adj[u].append((eid, v))
-        adj[v].append((eid, u))
-
-    f = {}  # (v, parent_edge_taken) -> (value, chosen child edges)
-    seen = [False] * g.n
-    total = 0
-    chosen_all: set[int] = set()
-
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        # iterative postorder
-        order = []
-        stack = [(root, -1)]
-        seen[root] = True
-        children: dict[int, list[tuple[int, int]]] = {}
+    roots, children, table = _subtree_gains(g, active, cap, range(g.n))
+    chosen: set[int] = set()
+    # descend from each root with its free slots: a vertex takes its
+    # first gains, and a child whose edge is taken has one slot fewer
+    for root in roots:
+        stack = [(root, cap[root])]
         while stack:
-            v, pe = stack.pop()
-            order.append((v, pe))
-            children[v] = []
-            for eid, w in adj[v]:
-                if eid != pe and not seen[w]:
-                    seen[w] = True
-                    children[v].append((eid, w))
-                    stack.append((w, eid))
-        for v, pe in reversed(order):
-            base = 0
-            gains = []
-            for eid, w in adj[v]:
-                if eid == pe:
-                    continue
-                g0 = f[(w, 0)][0]
-                base += g0
-                if cap[w] >= 1:  # else w cannot take its parent edge
-                    gain = 1 + f[(w, 1)][0] - g0
-                    if gain > 0:
-                        gains.append((gain, eid))
-            gains.sort(key=lambda t: (-t[0], t[1]))
-            for b in (0, 1):
-                c = cap[v] - b
-                if c < 0:  # state never read: the parent edge is not offered
-                    continue
-                take = gains[:c]
-                f[(v, b)] = (base + sum(t[0] for t in take), [t[1] for t in take])
-        value, _ = f[(root, 0)]
-        total += value
-        # reconstruct: descend into every child, taken edges with state 1
-        stack2 = [(root, 0)]
-        while stack2:
-            v, b = stack2.pop()
-            take = set(f[(v, b)][1])
+            v, c = stack.pop()
+            take = {eid for _, eid in table[v][1][:c]}
             for eid, w in children[v]:
                 if eid in take:
-                    chosen_all.add(eid)
-                    stack2.append((w, 1))
+                    chosen.add(eid)
+                    stack.append((w, cap[w] - 1))
                 else:
-                    stack2.append((w, 0))
-    return total, chosen_all
+                    stack.append((w, cap[w]))
+    return len(chosen), chosen
 
 
 def find_cycle(g: MultiGraph) -> tuple[list[int], list[int]]:
@@ -140,16 +151,13 @@ def _component_optimum(
     Unless k = 2 and the cycle is odd, every subgraph within the caps is
     colorable, so two forest DPs on h minus one cycle edge e decide it:
     e left out, or e taken with the caps at its ends lowered by 1.  An
-    odd cycle at k = 2 must not be taken whole: the best of dropping
-    each cycle edge in turn."""
+    odd cycle at k = 2 must not be taken whole (_odd_cycle_optimum)."""
     all_edges = set(range(h.m))
     cyc, _ = find_cycle(h)
     if not cyc:
         return _forest_dp(h, all_edges, cap)
     if k == 2 and len(cyc) % 2 == 1:
-        return max(
-            (_forest_dp(h, all_edges - {e}, cap) for e in cyc), key=lambda t: t[0]
-        )
+        return _odd_cycle_optimum(h, cyc, cap)
     e = cyc[0]
     a, b = h.endpoints(e)
     best = _forest_dp(h, all_edges - {e}, cap)
@@ -161,6 +169,63 @@ def _component_optimum(
         if v1 + 1 > best[0]:
             best = (v1 + 1, ch | {e})
     return best
+
+
+def _odd_cycle_optimum(
+    h: MultiGraph, cyc: list[int], cap: Sequence[int]
+) -> tuple[int, set[int]]:
+    """Maximum subgraph within the caps of a connected graph of cycle
+    rank 1 that leaves out at least one cycle edge: the forest DP on h
+    minus the first edge of cyc (its cycle edges, ascending) whose
+    leaving out is best.
+
+    Every cycle edge's value comes from linear work, not one forest DP
+    each: one tree DP over the trees hanging off the cycle, rooted at
+    their cycle vertices, then for each state of the last cycle edge one
+    DP forward and one backward around the cycle."""
+    (cycle,) = h.walk_cycles(cyc)
+    ring = []  # ring[i] lies between cycle edges i - 1 and i
+    v = h.endpoints(cycle[0])[0]
+    for eid in cycle:
+        ring.append(v)
+        a, b = h.endpoints(eid)
+        v = b if v == a else a
+    all_edges = set(range(h.m))
+    _, _, table = _subtree_gains(h, all_edges - set(cycle), cap, ring)
+
+    def at(i: int, before: int, after: int) -> float:
+        """The best of ring[i]'s trees with cycle edges i - 1 and i taken
+        as given, or -inf if they exceed its cap."""
+        c = cap[ring[i]] - before - after
+        if c < 0:
+            return -math.inf
+        base, gains = table[ring[i]]
+        return base + sum(t[0] for t in gains[:c])
+
+    n = len(cycle)
+    without: dict[int, float] = {}  # cycle edge -> best value without it
+    for last in (0, 1):
+        # fwd[i][x]: ring[0..i] and cycle edges 0..i-1, with edge i as x;
+        # bwd[i][y]: ring[i..] and cycle edges i.., with edge i - 1 as y
+        fwd = [[at(0, last, x) for x in (0, 1)]]
+        for i in range(1, n):
+            fwd.append(
+                [max(fwd[-1][y] + y + at(i, y, x) for y in (0, 1)) for x in (0, 1)]
+            )
+        bwd = [[last + at(n - 1, y, last) for y in (0, 1)]]
+        for i in range(n - 2, -1, -1):
+            bwd.append(
+                [max(x + at(i, y, x) + bwd[-1][x] for x in (0, 1)) for y in (0, 1)]
+            )
+        bwd.reverse()
+        for j in range(n - 1):
+            value = fwd[j][0] + bwd[j + 1][0]
+            without[cycle[j]] = max(without.get(cycle[j], -math.inf), value)
+        if last == 0:
+            without[cycle[-1]] = fwd[-1][0]
+    best = max(without.values())
+    drop = next(e for e in cyc if without[e] == best)
+    return _forest_dp(h, all_edges - {drop}, cap)
 
 
 def nu_k_tree(t: MultiGraph, k: int) -> int:

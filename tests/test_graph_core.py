@@ -151,3 +151,10 @@ def test_empty_graph():
     assert g.components() == []
     assert g.is_connected()
     assert g.max_degree() == 0
+
+
+def test_split_components_of_a_connected_graph_is_the_graph():
+    g = families.petersen()
+    (comp,) = g.split_components()
+    assert comp.graph is g
+    assert comp.vertices == list(range(g.n)) and comp.edge_ids == list(range(g.m))

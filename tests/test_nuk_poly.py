@@ -1,5 +1,7 @@
 """Polynomial solver for forests and unicyclic graphs, cycle deficiency."""
 
+import time
+
 import pytest
 
 from nulab import corpus, exact, families, oracle, poly
@@ -132,3 +134,29 @@ def test_deficiency_consistent_with_nu(rng):
             assert nu >= g.m - x
             if all(g.degree(v) <= k + 1 for v in on_cycle):
                 assert nu == g.m - x
+
+
+def test_odd_cycle_optimum_is_the_best_single_drop(rng):
+    """The DP around an odd cycle gives what the forest DP gives after
+    leaving out the first best cycle edge: value and chosen edges."""
+    checked = 0
+    while checked < 60:
+        g = corpus.random_unicyclic(rng.randint(3, 14), rng)
+        cyc, _ = poly.find_cycle(g)
+        if len(cyc) % 2 == 0:
+            continue
+        checked += 1
+        cap = [rng.randint(0, 2) for _ in range(g.n)]
+        every = set(range(g.m))
+        want = max((poly._forest_dp(g, every - {e}, cap) for e in cyc), key=lambda t: t[0])
+        assert poly._odd_cycle_optimum(g, cyc, cap) == want
+
+
+def test_long_odd_cycle_at_k2_is_linear():
+    """Not one forest DP per cycle edge, which is quadratic and takes
+    seconds at this length: the DP around the cycle is linear."""
+    g = families.cycle(1201)
+    start = time.perf_counter()
+    res = exact.nu_k(g, 2)
+    assert time.perf_counter() - start < 1.0
+    assert res.value == 1200 and res.certificate.is_proper(g)

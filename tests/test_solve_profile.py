@@ -1,9 +1,11 @@
 """exact.solve_profile: every k from one search on class-1 cubic graphs,
-nu_k per k everywhere else."""
+one shared reduction everywhere else."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulab import corpus, exact, families, profiling
 from nulab.errors import BadParameter
@@ -91,21 +93,59 @@ def test_solve_profile_rejects_bad_k():
     assert exact.solve_profile(families.k4(), ()) == {}
 
 
-def test_compute_profile_on_class2_calls_nu_k_per_k(monkeypatch):
-    calls = []
-    original = exact.nu_k
+def test_compute_profile_on_class2_solves_per_k(monkeypatch):
+    """Petersen (class 2) fails the 3-edge-colouring search, then gets one
+    exact solve per k from a single reduction; K4 takes the shortcut."""
+    searches, reductions = [], []
+    search, reduce = exact._search, exact._reduce
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted_search(h, cap, k, lower, upper):
+        searches.append(k)
+        return search(h, cap, k, lower, upper)
 
-    monkeypatch.setattr(exact, "nu_k", counted)
+    def counted_reduce(g):
+        reductions.append(g)
+        return reduce(g)
+
+    monkeypatch.setattr(exact, "_search", counted_search)
+    monkeypatch.setattr(exact, "_reduce", counted_reduce)
     profile = profiling.compute_profile(families.petersen())
-    assert sorted(calls) == [1, 2, 3, 4]
+    assert searches == [3, 1, 2, 3, 4]  # the colouring search, then k = 1..4
+    assert len(reductions) == 1
     assert profile.nu == {1: 5, 2: 9, 3: 13, 4: 15}
-    calls.clear()
-    profiling.compute_profile(families.k4())
-    assert calls == []
+    searches.clear()
+    reductions.clear()
+    profile = profiling.compute_profile(families.k4())
+    assert searches == [3] and reductions == []
+    assert profile.nu == {1: 2, 2: 4, 3: 6, 4: 6}
+
+
+def _disconnected_multigraph(rng: random.Random) -> MultiGraph:
+    """Two or three random multigraphs side by side, vertices shuffled."""
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(2, 7)
+        g = corpus.random_multigraph(size, rng.randint(1, 2 * size), rng)
+        edges += [(n + u, n + v) for u, v in g.edges]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MultiGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("use_poly", [True, False])
+def test_solve_profile_is_nu_k_per_k(use_poly):
+    """One shared reduction gives each k exactly what nu_k gives alone:
+    value, node count and certificate."""
+    rng = random.Random(8)
+    graphs = list(corpus.random_trees(30, 16, 1))
+    graphs += list(corpus.random_unicyclics(30, 14, 2))
+    graphs += [_disconnected_multigraph(rng) for _ in range(30)]
+    graphs += [families.petersen(), families.triangle_replace(families.petersen())]
+    graphs += [g for g in corpus.connected_cubic_graphs(10) if g.bridges()]  # class 2
+    for g in graphs:
+        got = exact.solve_profile(g, KS, use_poly=use_poly)
+        assert got == {k: exact.nu_k(g, k, use_poly=use_poly) for k in KS}, g
 
 
 def test_compute_profile_finds_bridges_once(monkeypatch):
@@ -121,3 +161,30 @@ def test_compute_profile_finds_bridges_once(monkeypatch):
         calls.clear()
         profiling.compute_profile(g)
         assert len(calls) == 1
+
+
+@st.composite
+def _pendant_multigraphs(draw):
+    """A small random multigraph, possibly disconnected, with pendant
+    trees grown onto it, so that most solves peel before they search."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=8))
+    for _ in range(draw(st.integers(0, 6))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return MultiGraph(n, draw(st.permutations(edges)))
+
+
+@given(_pendant_multigraphs(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_profile_inequalities_across_k(g, use_poly):
+    """Through solve_profile's shared reduction: nu_k is monotone in k,
+    nu_{k+1} <= nu_k + nu_1 and nu_k >= ceil(k * nu_{k+1} / (k + 1))."""
+    got = exact.solve_profile(g, KS, use_poly=use_poly)
+    nu = {k: res.value for k, res in got.items()}
+    for k, res in got.items():
+        assert res.certificate.is_proper(g) and res.certificate.colored_count == nu[k]
+    for k in range(1, 5):
+        assert nu[k] <= nu[k + 1] <= nu[k] + nu[1]
+        assert nu[k] >= -(-k * nu[k + 1] // (k + 1))
