@@ -13,7 +13,11 @@ exactly one more than the maximum used so far), canonicalizes parallel
 twins (colored twins form an id-prefix of their group), prunes on a
 per-vertex capacity bound, and memoizes frontier states that cannot
 beat the incumbent, so that structurally repeated subproblems are
-refuted once.  The capacity bound is a running slack, updated in O(1)
+refuted once.  A memo key is one int: the position, the skips so far
+and a code of the frontier's color masks that is the same for masks
+that differ by a renaming of colors (colors are renamed in order of
+first appearance, ties resolved by later masks), so renamed states are
+refuted once too.  The capacity bound is a running slack, updated in O(1)
 per decision, so the work per search node does not grow with the number
 of vertices.  The search recurses once per edge: one deeper than the
 recursion limit allows raises TooLarge, and the whole-graph shortcuts
@@ -133,6 +137,35 @@ def _searchable(h: MultiGraph) -> bool:
     return h.m + _STACK_RESERVE < sys.getrecursionlimit()
 
 
+def _rename_step(blocks: tuple[int, ...], x: int) -> tuple[int, tuple[int, ...]]:
+    """One step of coding a state's frontier masks up to a renaming of
+    colors.  The colors in the masks read so far form an ordered
+    partition, blocks, into classes of colors that were in the same
+    masks.  The next mask x is coded by how many colors it takes from
+    each block, set as the lowest bits of the block's range, and by the
+    colors it brings in, set above them; every block then splits into
+    its colors in x and those not in x, and the new colors form a last
+    block.  So two frontiers get equal codes exactly when their masks
+    differ by a renaming.
+
+    Returns the code of x and the new partition."""
+    y = pos = 0
+    split = []
+    for b in blocks:
+        inside = b & x
+        y |= ((1 << inside.bit_count()) - 1) << pos
+        pos += b.bit_count()
+        if inside:
+            split.append(inside)
+        if inside != b:
+            split.append(b ^ inside)
+        x ^= inside
+    if x:  # the colors new to the frontier
+        y |= ((1 << x.bit_count()) - 1) << pos
+        split.append(x)
+    return y, tuple(split)
+
+
 def _search(
     h: MultiGraph,
     cap: Sequence[int],
@@ -164,17 +197,21 @@ def _search(
     gids = [groups.get(e) for e in ends]
     group_skips = [0] * len(groups)
 
-    # frontier: vertices with both decided and undecided incident edges
-    first_pos = [m] * h.n
+    # frontier[i]: the vertices with edges both before and from position
+    # i, in order of first appearance
     last_pos = [-1] * h.n
     for i, e in enumerate(ends):
         for v in e:
-            first_pos[v] = min(first_pos[v], i)
-            last_pos[v] = max(last_pos[v], i)
-    frontier = [
-        tuple(v for v in range(h.n) if first_pos[v] < i <= last_pos[v])
-        for i in range(m + 1)
-    ]
+            last_pos[v] = i
+    live: dict[int, None] = {}
+    frontier = [()]
+    for i, e in enumerate(ends):
+        for v in e:
+            if last_pos[v] == i:
+                live.pop(v, None)
+            else:
+                live[v] = None
+        frontier.append(tuple(live))
 
     used = [0] * h.n  # bitmask of colors at each vertex
     ndeg = [0] * h.n  # colored-degree
@@ -182,7 +219,32 @@ def _search(
     assign: dict[int, int] = {}
     # States whose every completion is no better than the incumbent; the
     # incumbent only grows, so an entry stays true for the whole search.
-    failed: set = set()
+    # A state's key packs its position, its skips and the code of its
+    # frontier masks up to a renaming of colors into one int.  Future
+    # edges meet only frontier and unvisited vertices, and the maxc + 1
+    # rule drops only renamings of colorings the search does explore, so
+    # states with equal keys have equal best completions.
+    failed: set[int] = set()
+    width = m + 1
+    # rows[p]: for the partition p of the colors read so far, each next
+    # mask's code and the next row and partition (see _rename_step),
+    # filled on first use
+    rows: dict[tuple[int, ...], dict[int, tuple]] = {(): {}}
+    root = rows[()]
+
+    def key_of(i: int, skips: int) -> int:
+        row, blocks, code = root, (), 0
+        for x in map(used.__getitem__, frontier[i]):
+            try:
+                y, row, blocks = row[x]
+            except KeyError:
+                y, blocks = _rename_step(blocks, x)
+                nxt = rows.setdefault(blocks, {})
+                row[x] = (y, nxt, blocks)
+                row = nxt
+            code = code << k | y
+        return (code * width + i) * width + skips
+
     best = lower
     budget = m - best - 1  # skips left to a coloring that beats best
     found: Optional[dict[int, int]] = None
@@ -203,7 +265,9 @@ def _search(
                 return True
         if i == m or colored + (slack >> 1) <= best:
             return False
-        key = (i, skips, maxc, *map(used.__getitem__, frontier[i]))
+        # before the first refuted state there is nothing to look up, and
+        # the key is made on leaving, where the masks are the same again
+        key = key_of(i, skips) if failed else None
         if key in failed:
             return False
         u, v = ends[i]
@@ -245,13 +309,18 @@ def _search(
                 group_skips[gid] -= 1
         rem[u] += 1
         rem[v] += 1
-        failed.add(key)
+        failed.add(key_of(i, skips) if key is None else key)
         return False
 
     try:
         rec(0, 0, 0, 0, sum(map(min, cap, rem)))
     finally:
-        del rec  # rec refers to itself: free the memo now, not at a cyclic GC
+        # rec refers to itself, and a row to itself where a mask leaves the
+        # partition as it is: free the memo and the rows now, not at a
+        # cyclic GC
+        del rec
+        for row in rows.values():
+            row.clear()
     return found, nodes
 
 

@@ -228,8 +228,9 @@ class MultiGraph:
         return {e for e in result if mult[self.edges[e]] == 1}
 
     def structure_flags(self) -> StructureFlags:
-        connected = self.is_connected()
-        rank = self.cycle_rank()
+        count = self.component_count()
+        connected = count <= 1
+        rank = self.m - self.n + count
         return StructureFlags(
             connected=connected,
             cubic=self.n > 0 and all(d == 3 for d in self._degrees),

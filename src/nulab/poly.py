@@ -235,9 +235,15 @@ def nu_k_tree(t: MultiGraph, k: int) -> int:
     return best_degree_bounded(t, k).value
 
 
+def _connected_unicyclic(g: MultiGraph) -> bool:
+    """Connected with cycle rank 1.  A connected graph has cycle rank
+    m - n + 1, so the components are counted only where m == n."""
+    return g.n > 0 and g.m == g.n and g.is_connected()
+
+
 def nu_k_unicyclic(g: MultiGraph, k: int) -> int:
     """Exact nu_k of a connected graph with exactly one cycle."""
-    if not (g.is_connected() and g.cycle_rank() == 1):
+    if not _connected_unicyclic(g):
         raise NotUnicyclic("graph is not connected with cycle rank 1")
     return best_degree_bounded(g, k).value
 
@@ -246,7 +252,7 @@ def cycle_deficiency(g: MultiGraph, k: int) -> CycleDeficiency:
     """x_k: minimum number of cycle edges whose removal leaves the whole
     remaining graph k-edge-colorable.  Raises DeficiencyUndefined when no
     removal works (some non-cycle degree already exceeds k)."""
-    if not (g.is_connected() and g.cycle_rank() == 1):
+    if not _connected_unicyclic(g):
         raise NotUnicyclic("graph is not connected with cycle rank 1")
     cyc_edges, cyc_vertices = find_cycle(g)
     l = len(cyc_edges)

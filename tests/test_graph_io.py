@@ -4,10 +4,13 @@ and JSON-Lines report emission."""
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulab import families, gio
 from nulab.errors import LoopRejected, MalformedGraph6, MalformedSparse6, SinkWriteError
@@ -88,6 +91,28 @@ def test_sparse6_round_trip_families():
         h = gio.parse_sparse6(line)
         assert h.n == g.n
         assert sorted(h.edges) == sorted(g.edges)
+
+
+@st.composite
+def _sparse6_multigraphs(draw):
+    """Multigraphs with parallel edges and isolated vertices, n on both
+    sides of the 1-byte/4-byte size boundary at 62/63."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(60, 66)))
+    if n < 2:
+        return MultiGraph(n, [])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=20))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return MultiGraph(n, draw(st.permutations(edges)))
+
+
+@given(_sparse6_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_sparse6_round_trips_multigraphs(g):
+    h = gio.parse_sparse6(gio.emit_sparse6(g))
+    assert h.n == g.n
+    assert Counter(map(frozenset, h.edges)) == Counter(map(frozenset, g.edges))
 
 
 def test_emit_sparse6_matches_networkx():

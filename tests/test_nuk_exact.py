@@ -1,7 +1,10 @@
 """Branch-and-bound solver: oracle equivalence, certificates, bounds,
 pendant and bridge reductions."""
 
+import functools
 import gc
+import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -148,10 +151,10 @@ def test_node_count_reported():
 @pytest.mark.parametrize(
     "name, k, value, nodes",
     [
-        ("fig5", 2, 26, 31386),
-        ("fig5", 3, 39, 73932),
-        ("triangle-replaced Petersen", 2, 29, 2051),
-        ("triangle-replaced Petersen", 3, 43, 14526),
+        ("fig5", 2, 26, 17658),
+        ("fig5", 3, 39, 23491),
+        ("triangle-replaced Petersen", 2, 29, 2035),
+        ("triangle-replaced Petersen", 3, 43, 10947),
     ],
 )
 def test_search_tree_pinned(name, k, value, nodes):
@@ -197,36 +200,39 @@ def test_search_frees_its_memo_on_return():
 def _within_caps_maximum(g, cap, k):
     """The most colored edges of a proper partial k-coloring with at
     most cap[v] colored edges at each v: plain backtracking over
-    'uncolored or color c' for each edge."""
-    used = [set() for _ in range(g.n)]
+    'uncolored or color c' for each edge, memoized on the colors at
+    every vertex."""
+    edges = g.edges
 
-    def rec(i):
-        if i == g.m:
+    @functools.lru_cache(maxsize=None)
+    def rec(i, used):
+        if i == len(edges):
             return 0
-        best = rec(i + 1)
-        u, v = g.edges[i]
+        best = rec(i + 1, used)
+        u, v = edges[i]
         if len(used[u]) < cap[u] and len(used[v]) < cap[v]:
             for c in range(1, k + 1):
                 if c not in used[u] and c not in used[v]:
-                    used[u].add(c)
-                    used[v].add(c)
-                    best = max(best, 1 + rec(i + 1))
-                    used[u].discard(c)
-                    used[v].discard(c)
+                    after = list(used)
+                    after[u] |= {c}
+                    after[v] |= {c}
+                    best = max(best, 1 + rec(i + 1, tuple(after)))
         return best
 
-    return rec(0)
+    return rec(0, (frozenset(),) * g.n)
 
 
 @st.composite
 def _capped_instances(draw):
-    """A multigraph with at most 8 edges (parallel pairs likely), k,
-    per-vertex caps in 0..k, lower in 0..m and upper in lower+1..m+1."""
-    n = draw(st.integers(2, 5))
+    """A multigraph with at most 12 edges (parallel pairs and triples
+    likely), k, per-vertex caps in 0..k, lower in 0..m and upper in
+    lower+1..m+1."""
+    n = draw(st.integers(2, 8))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=6))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=8))
     if edges:
-        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+        twins = st.lists(st.sampled_from(edges), max_size=2)
+        edges += [e for e in draw(twins) for _ in range(draw(st.integers(1, 2)))]
     g = build(n, draw(st.permutations(edges)))
     k = draw(st.integers(1, 4))
     cap = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
@@ -235,7 +241,7 @@ def _capped_instances(draw):
 
 
 @given(_capped_instances())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_search_matches_brute_force_within_caps(inst):
     g, k, cap, lower, upper = inst
     found, _ = exact._search(g, cap, k, lower, upper)
@@ -249,6 +255,75 @@ def test_search_matches_brute_force_within_caps(inst):
             for v in g.edges[eid]:
                 deg[v] += 1
         assert all(deg[v] <= cap[v] for v in range(g.n))
+
+
+@pytest.mark.parametrize(
+    "n, edges, k, value",
+    [
+        (6, [(0, 2), (1, 3), (4, 5), (3, 4), (3, 4), (3, 4)], 1, 3),
+        (5, [(0, 3), (0, 1), (3, 4), (0, 2), (3, 4)], 2, 4),
+        (8, [(1, 2), (1, 7), (1, 3), (1, 7), (2, 3), (0, 6)], 1, 3),
+    ],
+)
+def test_search_memo_keys_stay_apart(n, edges, k, value):
+    """Instances on which a memo key that did not keep the position,
+    the skips and the frontier code apart lost the optimum."""
+    g = build(n, edges)
+    found, _ = exact._search(g, [k] * n, k, -1, g.m)
+    assert len(found) == value == _within_caps_maximum(g, [k] * n, k)
+    assert exact.ColorClasses(k, found).is_proper(g)
+
+
+def test_search_at_many_colors_stays_small():
+    """A triangle of 8-fold edges at k = 20: each color takes one edge,
+    so the optimum is 20 of 24.  The renaming tables grow only with the
+    masks the search meets, never with 2^k."""
+    g = build(3, [(0, 1)] * 8 + [(1, 2)] * 8 + [(0, 2)] * 8)
+    start = time.perf_counter()
+    found, nodes = exact._search(g, [20] * 3, 20, -1, g.m)
+    assert len(found) == 20
+    assert exact.ColorClasses(20, found).is_proper(g)
+    assert nodes < 1000
+    assert time.perf_counter() - start < 1.0
+
+
+def _codes(masks):
+    """The symbols _rename_step gives masks read as one frontier."""
+    blocks = ()
+    out = []
+    for x in masks:
+        y, blocks = exact._rename_step(blocks, x)
+        out.append(y)
+    return out
+
+
+def _renamed(masks, perm):
+    """masks with color c renamed to perm[c - 1]."""
+    return [sum(1 << p for c, p in enumerate(perm, 1) if x >> c & 1) for x in masks]
+
+
+@given(
+    st.lists(st.integers(0, 2**5 - 1).map(lambda x: 2 * x), max_size=6),
+    st.permutations(range(1, 6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_rename_code_is_invariant_under_renaming(masks, perm):
+    assert _codes(_renamed(masks, perm)) == _codes(masks)
+
+
+def _frontier_pairs(n):
+    masks = st.lists(st.sampled_from(range(0, 16, 2)), min_size=n, max_size=n)
+    return st.tuples(masks, masks)
+
+
+@given(st.integers(1, 4).flatmap(_frontier_pairs))
+@settings(max_examples=300, deadline=None)
+def test_rename_code_tells_apart_what_no_renaming_joins(pair):
+    """Over colors 1..3, two frontiers get equal codes exactly when a
+    renaming joins them."""
+    a, b = pair
+    joined = any(_renamed(a, p) == b for p in itertools.permutations(range(1, 4)))
+    assert joined == (_codes(a) == _codes(b))
 
 
 @st.composite

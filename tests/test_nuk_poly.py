@@ -34,6 +34,22 @@ def test_wrong_class_rejected():
         poly.best_degree_bounded(families.petersen(), 3)
 
 
+def test_unicyclic_means_connected_with_m_equal_n():
+    # m == n but disconnected (a triangle beside an edge and a loose
+    # vertex), and the empty graph (m == n == 0, rank 0)
+    for g in (build(6, [(0, 1), (1, 2), (0, 2), (3, 4)]), build(0, [])):
+        for check in (poly.nu_k_unicyclic, poly.cycle_deficiency):
+            with pytest.raises(NotUnicyclic):
+                check(g, 2)
+        flags = g.structure_flags()
+        assert not flags.is_unicyclic
+        assert flags.cycle_rank == g.m - g.n + len(g.components())
+    g = build(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert poly.nu_k_unicyclic(g, 2) == 3
+    assert poly.cycle_deficiency(g, 2).x_k == 1
+    assert g.structure_flags().is_unicyclic
+
+
 def test_best_degree_bounded_respects_caps(rng):
     for _ in range(60):
         g = corpus.random_unicyclic(rng.randint(3, 10), rng)
