@@ -89,6 +89,10 @@ class MultiGraph:
         self._check_vertex(v)
         return self._adj[v]
 
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """incident(v) for every vertex v, in vertex order."""
+        return self._adj
+
     def neighbors(self, v: int) -> set[int]:
         return {w for _, w in self.incident(v)}
 
@@ -250,6 +254,10 @@ class MultiGraph:
         out, starting from the initial leaves in vertex order.
         """
         deg = list(self._degrees)
+        live_xor = [0] * self.n  # XOR of the ids of the live edges at v
+        for eid, (u, v) in enumerate(self.edges):
+            live_xor[u] ^= eid
+            live_xor[v] ^= eid
         alive = [True] * self.m
         peeled: list[tuple[int, int, int]] = []
         queue = [v for v in range(self.n) if deg[v] == 1]
@@ -257,9 +265,12 @@ class MultiGraph:
             v = queue.pop()
             if deg[v] != 1:
                 continue
-            eid, w = next((e, w) for e, w in self._adj[v] if alive[e])
+            eid = live_xor[v]  # a leaf's one live edge
+            a, b = self.edges[eid]
+            w = b if a == v else a
             alive[eid] = False
-            deg[v] -= 1
+            live_xor[w] ^= eid
+            deg[v] = 0
             deg[w] -= 1
             peeled.append((eid, v, w))
             if deg[w] == 1:

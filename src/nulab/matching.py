@@ -3,13 +3,16 @@
 Maximum matching is Edmonds' blossom algorithm for cardinality, in its
 breadth-first form with base contraction; everything built on top of
 perfect matchings is exhaustive and deterministic, which is what the
-inequality engine needs at desk scale.
+inequality engine needs at desk scale.  One depth-first perfect-matching
+core serves both the enumeration and o(G); o(G) walks each complement
+2-factor in place and stops at the first 2-factor with no odd cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoTwoFactor, NotCubic, NotPerfect
 from .graph import MultiGraph
@@ -182,40 +185,55 @@ def _mark_path(
         v = parent[child]
 
 
+def _perfect_matchings(
+    adj: Sequence[Sequence[tuple[int, int]]],
+) -> Iterator[list[int]]:
+    """Every perfect matching of the loopless multigraph with incidence
+    lists adj (adj[v] = the (edge id, other end) pairs at v), depth
+    first: the lowest uncovered vertex is matched along each of its
+    edges to an uncovered vertex in edge order.  Each matching is
+    yielded as one list, at[v] = the id of the matched edge at v; the
+    list is reused, so a consumer copies what it keeps.  An explicit
+    stack of (v, w, next index at v) replaces recursion, so the depth is
+    bounded by memory, not by the recursion limit."""
+    n = len(adj)
+    if n % 2 == 1:
+        return
+    at = [-1] * n
+    stack: list[tuple[int, int, int]] = []
+    v = i = 0
+    while True:
+        while v < n and at[v] >= 0:
+            v += 1
+        if v < n:
+            inc = adj[v]
+            while i < len(inc) and at[inc[i][1]] >= 0:
+                i += 1
+            if i < len(inc):
+                eid, w = inc[i]
+                at[v] = at[w] = eid
+                stack.append((v, w, i + 1))
+                i = 0
+                continue
+        else:
+            yield at
+        if not stack:
+            return
+        v, w, i = stack.pop()
+        at[v] = at[w] = -1
+
+
 def enumerate_perfect_matchings(g: MultiGraph, limit: int = 10**9) -> list[Matching]:
-    """All perfect matchings, lexicographic by sorted edge-id tuple.
+    """All perfect matchings, lexicographic by sorted edge-id tuple.  With
+    limit, only the first limit matchings found depth first are kept,
+    sorted the same way.
 
     Parallel twins yield distinct matchings.  Empty list when none exist.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if g.n % 2 == 1:
-        return []
-    out: list[tuple[int, ...]] = []
-    covered = [False] * g.n
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        """Returns False once the limit is reached."""
-        v = start
-        while v < g.n and covered[v]:
-            v += 1
-        if v == g.n:
-            out.append(tuple(sorted(chosen)))
-            return len(out) < limit
-        for eid, w in g.incident(v):
-            if covered[w]:
-                continue
-            covered[v] = covered[w] = True
-            chosen.append(eid)
-            ok = extend(v + 1)
-            chosen.pop()
-            covered[v] = covered[w] = False
-            if not ok:
-                return False
-        return True
-
-    extend(0)
+    pms = _perfect_matchings(g.incidence())
+    out = [tuple(sorted(set(at))) for at in islice(pms, limit)]
     out.sort()
     return [Matching(frozenset(t)) for t in out]
 
@@ -239,9 +257,50 @@ def two_factor_from_pm(g: MultiGraph, pm: Matching) -> TwoFactor:
 
 
 def min_odd_two_factor(g: MultiGraph) -> int:
-    """o(G): minimum odd-cycle count over all 2-factors of a cubic graph,
-    by exhaustive perfect-matching enumeration."""
-    pms = enumerate_perfect_matchings(g)
-    if not pms:
+    """o(G): minimum odd-cycle count over all 2-factors of a cubic graph.
+
+    The complement of each perfect matching is walked in place, and the
+    search stops at the first 2-factor with no odd cycle."""
+    cubic = g.n > 0 and all(d == 3 for d in g.degrees())
+    adj = g.incidence()
+    best = -1
+    for at in _perfect_matchings(adj):
+        if not cubic:
+            raise NotCubic("2-factor complement requires a cubic graph")
+        odd = _odd_cycle_count(adj, at, best)
+        if best < 0 or odd < best:
+            best = odd
+            if best == 0:
+                return 0
+    if best < 0:
         raise NoTwoFactor("graph has no perfect matching")
-    return min(two_factor_from_pm(g, pm).odd_cycle_count for pm in pms)
+    return best
+
+
+def _odd_cycle_count(
+    adj: Sequence[Sequence[tuple[int, int]]], at: Sequence[int], cap: int
+) -> int:
+    """The number of odd cycles of the 2-factor left by the perfect
+    matching at (at[v] = matched edge at v) in the cubic graph with
+    incidence lists adj; once it reaches cap >= 0, cap is returned."""
+    seen = bytearray(len(at))
+    odd = 0
+    for s in range(len(at)):
+        if seen[s]:
+            continue
+        length, v, came = 0, s, -1
+        while True:
+            seen[v] = 1
+            length += 1
+            skip = at[v]
+            for eid, w in adj[v]:
+                if eid != skip and eid != came:
+                    break
+            v, came = w, eid
+            if v == s:
+                break
+        if length % 2:
+            odd += 1
+            if odd == cap:
+                return odd
+    return odd

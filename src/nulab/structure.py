@@ -7,6 +7,9 @@ graph H by replacing some edges with strings of diamonds and every
 vertex with a triangle.  `oum_decompose` recovers that structure and
 `r3_via_reduction` exploits the invariance of the resistance under both
 replacement operations to evaluate r3 on the smaller H.
+
+Bipartiteness is one BFS 2-colouring that returns an odd cycle; a graph
+is nearly bipartite when skipping one vertex of that cycle leaves none.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from typing import Sequence
 
 from .errors import NotInClass
 from .exact import resistance_r3
@@ -52,26 +56,55 @@ def is_claw_free(g: MultiGraph) -> bool:
 
 
 def is_bipartite(g: MultiGraph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for _, w in g.incident(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return _odd_cycle(g.incidence()) is None
 
 
 def is_nearly_bipartite(g: MultiGraph) -> bool:
-    """Some single vertex deletion leaves a bipartite graph."""
-    return any(is_bipartite(g.without_vertex(v)) for v in range(g.n))
+    """Some single vertex deletion leaves a bipartite graph.  Such a
+    vertex lies on every odd cycle, so only the vertices of one odd
+    cycle are tried."""
+    adj = g.incidence()
+    cycle = _odd_cycle(adj)
+    if cycle is None:
+        return g.n > 0
+    return any(_odd_cycle(adj, skip=v) is None for v in cycle)
+
+
+def _odd_cycle(
+    adj: Sequence[Sequence[tuple[int, int]]], skip: int = -1
+) -> list[int] | None:
+    """The vertices of an odd cycle of the graph with incidence lists
+    adj, leaving out vertex skip, or None if there is none.
+
+    A breadth-first 2-colouring by depth parity: an edge inside one BFS
+    layer closes an odd cycle through the nearest common ancestor of its
+    ends, and a graph without such an edge is bipartite."""
+    n = len(adj)
+    depth = [-1] * n
+    parent = [-1] * n
+    if skip >= 0:
+        depth[skip] = -2  # never matches a depth
+    for s in range(n):
+        if depth[s] != -1:
+            continue
+        depth[s] = 0
+        queue = [s]
+        for v in queue:
+            d = depth[v]
+            for _, w in adj[v]:
+                dw = depth[w]
+                if dw == -1:
+                    depth[w] = d + 1
+                    parent[w] = v
+                    queue.append(w)
+                elif dw == d:
+                    left, right = [v], [w]
+                    while v != w:
+                        v, w = parent[v], parent[w]
+                        left.append(v)
+                        right.append(w)
+                    return left + right[-2::-1]
+    return None
 
 
 def _find_diamonds(g: MultiGraph) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -158,3 +158,44 @@ def test_split_components_of_a_connected_graph_is_the_graph():
     (comp,) = g.split_components()
     assert comp.graph is g
     assert comp.vertices == list(range(g.n)) and comp.edge_ids == list(range(g.m))
+
+
+def _strip_pendants_by_scan(g: MultiGraph):
+    """The peel with each leaf's last live edge found by scanning its
+    incidence list: the reference for MultiGraph.strip_pendants."""
+    deg = list(g.degrees())
+    alive = [True] * g.m
+    peeled = []
+    queue = [v for v in range(g.n) if deg[v] == 1]
+    while queue:
+        v = queue.pop()
+        if deg[v] != 1:
+            continue
+        eid, w = next((e, w) for e, w in g.incident(v) if alive[e])
+        alive[eid] = False
+        deg[v] -= 1
+        deg[w] -= 1
+        peeled.append((eid, v, w))
+        if deg[w] == 1:
+            queue.append(w)
+    return peeled, [e for e in range(g.m) if alive[e]]
+
+
+@st.composite
+def _leafy_multigraphs(draw):
+    """A random forest plus a few extra edges and parallel copies, with
+    the edge ids shuffled: many leaves, peeled in chains."""
+    n = draw(st.integers(1, 14))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n) if draw(st.booleans())]
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=3))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return build(n, draw(st.permutations(edges)))
+
+
+@given(_leafy_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_strip_pendants_matches_the_scanning_peel(g):
+    assert g.strip_pendants() == _strip_pendants_by_scan(g)

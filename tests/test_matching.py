@@ -1,5 +1,9 @@
 """Maximum matching, perfect matching enumeration, 2-factors, o(G)."""
 
+import itertools
+import random
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -173,3 +177,74 @@ def test_min_odd_two_factor_values():
 def test_min_odd_two_factor_requires_pm():
     with pytest.raises(NoTwoFactor):
         matching.min_odd_two_factor(families.sylvester10())
+
+
+def test_min_odd_two_factor_requires_cubic():
+    # a perfect matching exists, so the degree check decides
+    with pytest.raises(NotCubic):
+        matching.min_odd_two_factor(families.cycle(4))
+    with pytest.raises(NotCubic):
+        matching.min_odd_two_factor(build(0, []))
+    with pytest.raises(NoTwoFactor):
+        matching.min_odd_two_factor(families.path(3))
+
+
+def _min_odd_by_enumeration(g):
+    """o(G) as it is defined: the least odd-cycle count over the
+    2-factors left by all perfect matchings."""
+    pms = matching.enumerate_perfect_matchings(g)
+    if not pms:
+        raise NoTwoFactor("graph has no perfect matching")
+    return min(matching.two_factor_from_pm(g, pm).odd_cycle_count for pm in pms)
+
+
+def _pairing_cubic(n, rng):
+    """Pairing-model random cubic multigraph, redrawn while it has a loop."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+        if all(u != v for u, v in pairs):
+            return build(n, pairs)
+
+
+def test_min_odd_two_factor_matches_enumeration():
+    rng = random.Random(20261018)
+    graphs = list(corpus.connected_cubic_graphs(10))
+    graphs += [_pairing_cubic(rng.choice((4, 6, 8, 10, 12, 14)), rng) for _ in range(60)]
+    graphs += [families.fig1_graph(), families.ring_of_diamonds(3), families.petersen()]
+    graphs += [families.fig3_graph12(), families.fig5_graph28()]  # o(G) = 4
+    values = []
+    for g in graphs:
+        want = _min_odd_by_enumeration(g)
+        assert matching.min_odd_two_factor(g) == want, g.edges
+        values.append(want)
+    assert {0, 2, 4} <= set(values)
+    for route in (_min_odd_by_enumeration, matching.min_odd_two_factor):
+        with pytest.raises(NoTwoFactor):
+            route(families.sylvester10())
+
+
+@given(_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_enumerate_perfect_matchings_is_every_covering_edge_set(g):
+    """The depth-first enumeration against every n/2-subset of the edges;
+    with a limit, a sorted subset of that size."""
+    want = []
+    if g.n % 2 == 0:
+        for ids in itertools.combinations(range(g.m), g.n // 2):
+            ends = [v for eid in ids for v in g.edges[eid]]
+            if len(set(ends)) == g.n:
+                want.append(ids)
+    got = [tuple(sorted(pm.edge_ids)) for pm in matching.enumerate_perfect_matchings(g)]
+    assert got == want
+    some = [tuple(sorted(pm.edge_ids)) for pm in matching.enumerate_perfect_matchings(g, limit=2)]
+    assert some == sorted(some) and set(some) <= set(want) and len(some) == min(2, len(want))
+
+
+def test_long_graphs_do_not_hit_the_recursion_limit():
+    g = families.ring_of_diamonds(600)  # n = 2400
+    t = time.perf_counter()
+    assert matching.min_odd_two_factor(g) == 0
+    assert len(matching.enumerate_perfect_matchings(g, limit=1)) == 1
+    assert time.perf_counter() - t < 5.0

@@ -137,6 +137,32 @@ def test_decompose_bridge_random(rng):
         assert exact.decompose_bridge(g, bridge_id, k) == exact.nu_k(g, k).value
 
 
+@st.composite
+def _bridged_multigraphs(draw):
+    """Two random parts (possibly disconnected inside, with parallel
+    pairs) joined by one edge, which is a bridge; returns (g, its id)."""
+    parts = []
+    for _ in range(2):
+        size = draw(st.integers(1, 5))
+        pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        part = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=7))
+        if part and draw(st.booleans()):
+            part.append(part[0])
+        parts.append((size, part))
+    (a, left), (b, right) = parts
+    edges = left + [(a + u, a + v) for u, v in right]
+    bridge = draw(st.integers(0, len(edges)))
+    edges.insert(bridge, (draw(st.integers(0, a - 1)), a + draw(st.integers(0, b - 1))))
+    return build(a + b, edges), bridge
+
+
+@given(_bridged_multigraphs(), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_decompose_bridge_identity(gb, k):
+    g, bridge = gb
+    assert exact.decompose_bridge(g, bridge, k) == exact.nu_k(g, k).value
+
+
 def test_decompose_bridge_rejects_non_bridge():
     with pytest.raises(NotABridge):
         exact.decompose_bridge(families.cycle(4), 0, 2)

@@ -1,6 +1,8 @@
 """Class recognizers and the claw-free bridgeless cubic decomposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nulab import exact, families, structure
 from nulab.errors import NotInClass
@@ -37,6 +39,65 @@ def test_is_nearly_bipartite():
     assert not structure.is_nearly_bipartite(families.k4())
     assert not structure.is_nearly_bipartite(families.petersen())
     assert structure.is_nearly_bipartite(families.cycle(4))
+    assert not structure.is_nearly_bipartite(build(0, []))
+    assert structure.is_nearly_bipartite(build(1, []))
+
+
+def _bipartite_by_colouring(g):
+    colour = [-1] * g.n
+    for s in range(g.n):
+        if colour[s] < 0:
+            colour[s], stack = 0, [s]
+            while stack:
+                v = stack.pop()
+                for _, w in g.incident(v):
+                    if colour[w] < 0:
+                        colour[w] = 1 - colour[v]
+                        stack.append(w)
+                    elif colour[w] == colour[v]:
+                        return False
+    return True
+
+
+@st.composite
+def _multigraphs(draw):
+    """n = 0..9 with isolated vertices and parallel pairs."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return build(n, [])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=16))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return build(n, edges)
+
+
+@st.composite
+def _glued_odd_cycles(draw):
+    """Two or three odd cycles through one shared vertex, the only vertex
+    whose deletion leaves a bipartite graph, plus pendant edges, with the
+    vertices relabelled at random."""
+    edges, n = [], 1  # vertex 0 is the shared one
+    for _ in range(draw(st.integers(2, 3))):
+        length = draw(st.sampled_from((3, 5, 7)))
+        cycle = [0] + list(range(n, n + length - 1))
+        n += length - 1
+        edges += list(zip(cycle, cycle[1:] + [0]))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    label = draw(st.permutations(range(n)))
+    return build(n, [(label[u], label[v]) for u, v in edges])
+
+
+@given(st.one_of(_multigraphs(), _glued_odd_cycles()))
+@settings(max_examples=400, deadline=None)
+def test_bipartite_tests_match_their_definitions(g):
+    """is_bipartite against a DFS 2-colouring, and is_nearly_bipartite
+    against deleting each vertex in turn on a copy of the graph."""
+    assert structure.is_bipartite(g) == _bipartite_by_colouring(g)
+    want = any(_bipartite_by_colouring(g.without_vertex(v)) for v in range(g.n))
+    assert structure.is_nearly_bipartite(g) == want
 
 
 def test_decompose_k4():
