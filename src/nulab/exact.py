@@ -28,10 +28,10 @@ pendant edges are peeled one at a time (last in, first out), and the
 surviving 2-core is split into its connected parts, at most one per
 component of the graph.  Per k, the peeled edges are forced into an
 optimum in peeling order (each consuming a color slot at both ends),
-each part of cycle rank at most 1 goes to the polynomial solver (if
-use_poly is set) and every other part to branch and bound, and the
-forced edges are colored last.  Capacities below k thread through the
-whole pipeline.
+each part of cycle rank at most 1, which in a 2-core is a bare cycle,
+goes to the ring DP of poly.cycle_optimum (if use_poly is set) and every
+other part to branch and bound, and the forced edges are colored last.
+Capacities below k thread through the whole pipeline.
 
 solve_profile answers several k at once: on a class-1 cubic graph one
 3-edge-colouring certifies every nu_k; otherwise it shares one
@@ -447,13 +447,11 @@ def _solve_reduced(
     for p in parts:
         pcap = [cap[v] for v in p.vertices]
         if use_poly and p.cycle_rank <= 1:
-            opt = poly.best_degree_bounded(p.graph, k, pcap)
-            local = poly.color_sparse_subgraph(p.graph, opt.chosen_edges, k)
-            value += opt.value
+            pvalue, local = poly.cycle_optimum(p.graph, pcap, k)
         else:
             pvalue, local, pnodes = _solve_bb(p.graph, pcap, k)
-            value += pvalue
             nodes += pnodes
+        value += pvalue
         assign.update({p.edge_ids[e]: c for e, c in local.items()})
     _color_forced(g, forced, assign)
     return NuResult(value, ColorClasses(k, assign), nodes)

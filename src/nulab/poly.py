@@ -1,11 +1,16 @@
 """Exact nu_k for forests and unicyclic graphs in polynomial time.
 
-The workhorse is a two-state tree DP computing a maximum subgraph with
-per-vertex degree caps.  For a forest with max degree <= k the chosen
-subgraph is always k-edge-colorable; for a unicyclic graph the only
-obstruction is a fully chosen odd cycle at k = 2, which is handled by
-leaving out a best cycle edge, found in linear time by a DP around the
-cycle.
+The general route is a two-state tree DP computing a maximum subgraph
+with per-vertex degree caps.  For a forest with max degree <= k the
+chosen subgraph is always k-edge-colorable; for a unicyclic graph the
+only obstruction is a fully chosen odd cycle at k = 2, which is handled
+by leaving out a best cycle edge, found in linear time by a DP around
+the cycle.
+
+A part of a 2-core with one cycle is a bare cycle, every vertex of
+degree 2.  The exact solver hands such parts to cycle_optimum, one DP
+around the ring with its own coloring, and not to the tree DP, which
+stays as the independent route the tests compare against.
 
 Capacities below k (used by the branch-and-bound front end when pendant
 edges have been forced) are supported throughout.
@@ -13,7 +18,6 @@ edges have been forced) are supported throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -121,6 +125,18 @@ def find_cycle(g: MultiGraph) -> tuple[list[int], list[int]]:
     return cyc_edges, cyc_vertices
 
 
+def _ring(g: MultiGraph, cycle: Sequence[int]) -> list[int]:
+    """The vertices of a cycle from walk_cycles, in walking order:
+    ring[i] lies between cycle edges i - 1 and i."""
+    ring = []
+    v = g.edges[cycle[0]][0]
+    for eid in cycle:
+        ring.append(v)
+        a, b = g.edges[eid]
+        v = b if v == a else a
+    return ring
+
+
 def best_degree_bounded(
     g: MultiGraph, k: int, cap: Optional[Sequence[int]] = None
 ) -> DegreeBoundedOptimum:
@@ -184,26 +200,24 @@ def _odd_cycle_optimum(
     their cycle vertices, then for each state of the last cycle edge one
     DP forward and one backward around the cycle."""
     (cycle,) = h.walk_cycles(cyc)
-    ring = []  # ring[i] lies between cycle edges i - 1 and i
-    v = h.endpoints(cycle[0])[0]
-    for eid in cycle:
-        ring.append(v)
-        a, b = h.endpoints(eid)
-        v = b if v == a else a
+    ring = _ring(h, cycle)
     all_edges = set(range(h.m))
     _, _, table = _subtree_gains(h, all_edges - set(cycle), cap, ring)
+    # a total of at() values and cycle edges is at most m, so one that
+    # holds this sentinel is below every total that fits the caps
+    none = -1 - h.m
 
-    def at(i: int, before: int, after: int) -> float:
+    def at(i: int, before: int, after: int) -> int:
         """The best of ring[i]'s trees with cycle edges i - 1 and i taken
-        as given, or -inf if they exceed its cap."""
+        as given, or none if they exceed its cap."""
         c = cap[ring[i]] - before - after
         if c < 0:
-            return -math.inf
+            return none
         base, gains = table[ring[i]]
         return base + sum(t[0] for t in gains[:c])
 
     n = len(cycle)
-    without: dict[int, float] = {}  # cycle edge -> best value without it
+    without: dict[int, int] = {}  # cycle edge -> best value without it
     for last in (0, 1):
         # fwd[i][x]: ring[0..i] and cycle edges 0..i-1, with edge i as x;
         # bwd[i][y]: ring[i..] and cycle edges i.., with edge i - 1 as y
@@ -220,12 +234,79 @@ def _odd_cycle_optimum(
         bwd.reverse()
         for j in range(n - 1):
             value = fwd[j][0] + bwd[j + 1][0]
-            without[cycle[j]] = max(without.get(cycle[j], -math.inf), value)
+            without[cycle[j]] = max(without.get(cycle[j], none), value)
         if last == 0:
             without[cycle[-1]] = fwd[-1][0]
     best = max(without.values())
     drop = next(e for e in cyc if without[e] == best)
     return _forest_dp(h, all_edges - {drop}, cap)
+
+
+def cycle_optimum(
+    h: MultiGraph, cap: Sequence[int], k: int
+) -> tuple[int, dict[int, int]]:
+    """Maximum k-edge-colorable subgraph within the caps (each <= k) of a
+    bare cycle, a connected graph whose every vertex has degree 2 (a
+    parallel pair is a 2-cycle), and a proper coloring of it with colors
+    1..k, in linear time: (size, edge id -> color).
+
+    With every cap at least 2, every edge is taken, except one on an odd
+    cycle at k = 2.  Otherwise the chosen edges form paths, found by one
+    DP around the ring (_ring_take), and each path is colored 1, 2, 1,
+    2, ... from its first edge."""
+    (cycle,) = h.walk_cycles(range(h.m))
+    l = len(cycle)
+    caps = [cap[v] for v in _ring(h, cycle)]
+    if min(caps) >= 2:
+        if k != 2 or l % 2 == 0:
+            # the whole cycle, with color 3 closing an odd one (k >= 3)
+            return l, {
+                e: 3 if i == l - 1 and l % 2 else 1 + i % 2 for i, e in enumerate(cycle)
+            }
+        take = [1] * (l - 1) + [0]
+    else:
+        take = _ring_take(caps)
+    colors: dict[int, int] = {}
+    # walk once around from just after an edge left out, so that each
+    # path is met from its first edge; distinct paths share no vertex
+    c = 1
+    end = take.index(0) + 1
+    for i in range(end - l, end):
+        if take[i]:
+            colors[cycle[i]] = c
+            c = 3 - c
+        else:
+            c = 1
+    return len(colors), colors
+
+
+def _ring_take(caps: Sequence[int]) -> list[int]:
+    """A largest choice x[i] in {0, 1} of the edges of a ring, edge i
+    between ring vertices i and i + 1, with x[i - 1] + x[i] <= caps[i] at
+    every vertex i (indices mod the length): one DP along the ring for
+    each state of edge 0, and a traceback."""
+    l = len(caps)
+    best = -1
+    for first in (0, 1):
+        # s0, s1: most edges among 0..i with edge i left out or taken,
+        # -1 where no choice fits the caps
+        s0, s1 = (0, -1) if first == 0 else (-1, 1)
+        back = []  # back[i - 1]: the state of edge i - 1 behind each state of edge i
+        for c in caps[1:l]:
+            p0 = int(c >= 1 and s1 > s0)
+            p1 = int(c >= 2 and s1 > s0)
+            t1 = (s1 if p1 else s0) if c >= 1 else -1
+            s0, s1 = (s1 if p0 else s0), (t1 + 1 if t1 >= 0 else -1)
+            back.append((p0, p1))
+        for last, s in ((0, s0), (1, s1)):
+            if s > best and last + first <= caps[0]:
+                best, x, trace = s, last, back
+    take = [0] * l
+    for i in range(l - 1, 0, -1):
+        take[i] = x
+        x = trace[i - 1][x]
+    take[0] = x
+    return take
 
 
 def nu_k_tree(t: MultiGraph, k: int) -> int:
@@ -252,32 +333,40 @@ def cycle_deficiency(g: MultiGraph, k: int) -> CycleDeficiency:
     """x_k: minimum number of cycle edges whose removal leaves the whole
     remaining graph k-edge-colorable.  Raises DeficiencyUndefined when no
     removal works (some non-cycle degree already exceeds k)."""
+    x = cycle_deficiencies(g, (k,))
+    if k not in x:
+        raise DeficiencyUndefined(
+            f"a vertex keeps more than {k} edges even with all cycle edges removed"
+        )
+    return CycleDeficiency(k, x[k])
+
+
+def cycle_deficiencies(g: MultiGraph, ks: Iterable[int]) -> dict[int, int]:
+    """x_k (see cycle_deficiency) for every k in ks where it is defined,
+    from one pendant strip and one walk of the cycle; a k where a vertex
+    keeps more than k edges with every cycle edge removed is left out."""
     if not _connected_unicyclic(g):
         raise NotUnicyclic("graph is not connected with cycle rank 1")
-    cyc_edges, cyc_vertices = find_cycle(g)
-    l = len(cyc_edges)
-    deg = g.degrees()
-    on_cycle = set(cyc_vertices)
-    for v in range(g.n):
-        need = deg[v] - (2 if v in on_cycle else 0)
-        if need > k:
-            raise DeficiencyUndefined(
-                f"vertex {v} keeps degree {need} > k even with all cycle edges removed"
-            )
-    # demands: vertex v on C needs at least deg[v] - k incident cycle edges
-    # removed; vertex i sits between cycle edges i-1 and i
+    _, cyc_edges = g.strip_pendants()
     (cycle,) = g.walk_cycles(cyc_edges)
-    v = g.endpoints(cycle[0])[0]
-    demand = []
-    for eid in cycle:
-        demand.append(max(0, deg[v] - k))
-        a, b = g.endpoints(eid)
-        v = b if v == a else a
-    x = _min_cycle_cover(demand)
-    if x == 0 and k == 2 and g.m == g.n and l % 2 == 1 and l == g.m:
-        # the graph is itself an odd cycle: 2 colors need one removal
-        x = 1
-    return CycleDeficiency(k, x)
+    ring = _ring(g, cycle)
+    deg = g.degrees()
+    left = list(deg)  # degrees once every cycle edge is removed
+    for v in ring:
+        left[v] -= 2
+    most_left = max(left)
+    bare_odd = len(cycle) == g.m and g.m % 2 == 1
+    out: dict[int, int] = {}
+    for k in ks:
+        if most_left > k:
+            continue
+        # ring[i] needs at least deg - k of its cycle edges removed
+        x = _min_cycle_cover([max(0, deg[v] - k) for v in ring])
+        if x == 0 and k == 2 and bare_odd:
+            # the graph is itself an odd cycle: 2 colors need one removal
+            x = 1
+        out[k] = x
+    return out
 
 
 def _min_cycle_cover(demand: list[int]) -> int:

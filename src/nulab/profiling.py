@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import exact, poly, structure
-from .errors import DeficiencyUndefined, NoTwoFactor
+from .errors import NoTwoFactor
 from .graph import MultiGraph
 from .matching import max_matching, min_odd_two_factor
 from .rules import GraphProfile, ProfileFlags
@@ -51,13 +51,11 @@ def compute_profile(
             oG = min_odd_two_factor(g)
         except NoTwoFactor:
             oG = None
-    xk: dict[int, int] = {}
-    if flags.is_unicyclic:
-        for k in range(1, max(nu, default=1) + 1):
-            try:
-                xk[k] = poly.cycle_deficiency(g, k).x_k
-            except DeficiencyUndefined:
-                continue
+    xk = (
+        poly.cycle_deficiencies(g, range(1, max(nu, default=1) + 1))
+        if flags.is_unicyclic
+        else {}
+    )
     return GraphProfile(n=g.n, m=g.m, nu=nu, flags=flags, r3=r3, oG=oG, xk=xk)
 
 

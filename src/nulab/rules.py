@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -78,11 +79,15 @@ class Rule:
     body: Callable[[GraphProfile], list[RuleReport]]
     note: Optional[str] = None
 
+    @cached_property
+    def _not_applicable(self) -> RuleReport:
+        """The report for a profile outside the guard: one per rule, shared,
+        since reports are frozen."""
+        return RuleReport(self.rule_id, self.kind, applicable=False, note=self.note)
+
     def evaluate(self, profile: GraphProfile) -> list[RuleReport]:
         if not self.guard(profile):
-            return [
-                RuleReport(self.rule_id, self.kind, applicable=False, note=self.note)
-            ]
+            return [self._not_applicable]
         return self.body(profile)
 
 
@@ -111,8 +116,8 @@ def _simple(
     note: Optional[str] = None,
 ) -> Rule:
     def body(p: GraphProfile) -> list[RuleReport]:
-        lhs = Fraction(lhs_fn(p))
-        rhs = Fraction(rhs_fn(p))
+        lhs = lhs_fn(p)
+        rhs = rhs_fn(p)
         holds, tight = _cmp(op, lhs, rhs)
         return [
             RuleReport(rule_id, kind, True, holds, tight, lhs, rhs, note=note)

@@ -1,12 +1,15 @@
 """Polynomial solver for forests and unicyclic graphs, cycle deficiency."""
 
+import itertools
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nulab import corpus, exact, families, oracle, poly
 from nulab.errors import DeficiencyUndefined, NotAForest, NotUnicyclic
-from nulab.graph import build
+from nulab.graph import MultiGraph, build
 
 
 def test_tree_oracle_equivalence_exhaustive():
@@ -170,9 +173,127 @@ def test_odd_cycle_optimum_is_the_best_single_drop(rng):
 
 def test_long_odd_cycle_at_k2_is_linear():
     """Not one forest DP per cycle edge, which is quadratic and takes
-    seconds at this length: the DP around the cycle is linear."""
+    seconds at this length: the DP around the cycle (tree-DP route) and
+    the ring DP (exact route) are linear."""
     g = families.cycle(1201)
     start = time.perf_counter()
+    assert poly.nu_k_unicyclic(g, 2) == 1200
     res = exact.nu_k(g, 2)
     assert time.perf_counter() - start < 1.0
     assert res.value == 1200 and res.certificate.is_proper(g)
+
+
+def _capped_colorable_maximum(g, cap, k):
+    """The largest edge set within the caps that oracle's first-fit
+    backtracking can k-edge-color: every subset, largest first."""
+    for size in range(g.m, -1, -1):
+        for subset in itertools.combinations(range(g.m), size):
+            deg = [0] * g.n
+            for eid in subset:
+                for v in g.edges[eid]:
+                    deg[v] += 1
+            if all(d <= c for d, c in zip(deg, cap)) and oracle._subset_colorable(
+                g, subset, k
+            ):
+                return size
+
+
+@st.composite
+def _bare_cycles(draw):
+    """A cycle of length 2..12 (2 is a parallel pair) with shuffled
+    vertex labels and edge order, k in 1..5 and caps in 0..k."""
+    l = draw(st.integers(2, 12))
+    label = draw(st.permutations(range(l)))
+    ring = [(label[i], label[(i + 1) % l]) for i in range(l)]
+    k = draw(st.integers(1, 5))
+    cap = draw(st.lists(st.integers(0, k), min_size=l, max_size=l))
+    return build(l, draw(st.permutations(ring))), cap, k
+
+
+@given(_bare_cycles())
+@example((families.cycle(5), [2] * 5, 2))  # every cap 2: one edge left out
+@example((families.cycle(5), [3] * 5, 3))  # the whole odd cycle, color 3
+@example((build(2, [(0, 1), (0, 1)]), [2, 2], 2))
+@example((families.cycle(4), [2] * 4, 2))
+@settings(max_examples=300, deadline=None)
+def test_cycle_optimum_matches_tree_dp_and_brute_force(inst):
+    h, cap, k = inst
+    value, colors = poly.cycle_optimum(h, cap, k)
+    assert value == poly.best_degree_bounded(h, k, cap).value
+    assert value == _capped_colorable_maximum(h, cap, k)
+    assert len(colors) == value
+    assert exact.ColorClasses(k, colors).is_proper(h)
+    deg = [0] * h.n
+    for eid in colors:
+        for v in h.edges[eid]:
+            deg[v] += 1
+    assert all(deg[v] <= cap[v] for v in range(h.n))
+
+
+def _disjoint_union(graphs, rng):
+    """The graphs side by side, vertices relabelled at random and all
+    edges shuffled."""
+    n = sum(g.n for g in graphs)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(label[base + u], label[base + v]) for u, v in g.edges]
+        base += g.n
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+def test_routes_agree_beside_a_part_of_higher_rank(rng):
+    """Several cycle parts (2-cycles and odd cycles among them) in one
+    2-core next to a part of cycle rank >= 2: the ring DP on the cycle
+    parts and branch and bound on the whole agree, and both certify."""
+    for _ in range(40):
+        dense = corpus.random_multigraph(rng.randint(4, 7), rng.randint(8, 11), rng)
+        sparse = [corpus.random_unicyclic(rng.randint(2, 7), rng) for _ in range(3)]
+        sparse += [families.cycle(rng.choice((3, 5))), build(2, [(0, 1), (0, 1)])]
+        g = _disjoint_union([dense] + sparse, rng)
+        ranks = sorted(len(p.edge_ids) - len(p.vertices) + 1 for p in exact._reduce(g)[1])
+        assert ranks[:5] == [1] * 5 and ranks[-1] >= 2
+        for k in (1, 2, 3, 4):
+            fast, slow = exact.nu_k(g, k), exact.nu_k(g, k, use_poly=False)
+            assert fast.value == slow.value
+            for res in (fast, slow):
+                assert res.certificate.colored_count == res.value
+                assert res.certificate.is_proper(g)
+
+
+def _brute_deficiency(g, k):
+    """x_k by definition: the fewest cycle edges whose removal leaves a
+    k-edge-colorable graph, or None if no removal does."""
+    _, cyc = g.strip_pendants()
+    for size in range(len(cyc) + 1):
+        for drop in itertools.combinations(cyc, size):
+            rest = tuple(e for e in range(g.m) if e not in drop)
+            if oracle._subset_colorable(g, rest, k):
+                return size
+    return None
+
+
+def test_cycle_deficiencies_match_per_k_and_the_definition(rng):
+    graphs = [corpus.random_unicyclic(rng.randint(2, 9), rng) for _ in range(150)]
+    graphs += [families.cycle(l) for l in (3, 4, 5, 7)]
+    graphs += [build(2, [(0, 1), (0, 1)]), build(3, [(0, 1), (0, 1), (1, 2)])]
+    graphs.append(build(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)]))
+    ks = range(1, 6)
+    undefined = 0
+    for g in graphs:
+        got = poly.cycle_deficiencies(g, ks)
+        for k in ks:
+            want = _brute_deficiency(g, k)
+            if want is None:
+                undefined += 1
+                assert k not in got
+                with pytest.raises(DeficiencyUndefined):
+                    poly.cycle_deficiency(g, k)
+            else:
+                assert got[k] == want == poly.cycle_deficiency(g, k).x_k
+    assert undefined > 0
+    assert any(g.m == 2 for g in graphs)
+    with pytest.raises(NotUnicyclic):
+        poly.cycle_deficiencies(families.path(4), ks)
