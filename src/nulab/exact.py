@@ -20,8 +20,7 @@ first appearance, ties resolved by later masks), so renamed states are
 refuted once too.  The capacity bound is a running slack, updated in O(1)
 per decision, so the work per search node does not grow with the number
 of vertices.  The search recurses once per edge: one deeper than the
-recursion limit allows raises TooLarge, and the whole-graph shortcuts
-below are taken only where their search fits.
+recursion limit allows raises TooLarge.
 
 Before any search, each solve reduces the graph once, whatever k is:
 pendant edges are peeled one at a time (last in, first out), and the
@@ -62,12 +61,6 @@ class ColorClasses:
     @property
     def colored_count(self) -> int:
         return len(self.assignment)
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.k)]
-        for eid, c in self.assignment.items():
-            out[c - 1].add(eid)
-        return tuple(frozenset(s) for s in out)
 
     def is_proper(self, g: MultiGraph) -> bool:
         seen: dict[tuple[int, int], bool] = {}
@@ -398,14 +391,6 @@ def _force(peeled: Sequence[tuple[int, int, int]], cap: list[int]) -> list[int]:
     return forced
 
 
-def reduce_pendant(g: MultiGraph, k: int) -> set[int]:
-    """Maximal iteratively forced pendant edge set: each forced edge can
-    be assumed colored in some optimum, consuming one color slot at its
-    inner endpoint."""
-    peeled, _ = g.strip_pendants()
-    return set(_force(peeled, [k] * g.n))
-
-
 def _color_forced(g: MultiGraph, forced: list[int], assign: dict[int, int]) -> None:
     """Color forced pendant edges, newest first, each with the smallest
     color free at both ends; one exists within 1..k by the capacity
@@ -457,42 +442,12 @@ def _solve_reduced(
     return NuResult(value, ColorClasses(k, assign), nodes)
 
 
-def _is_cubic(g: MultiGraph) -> bool:
-    return g.n > 0 and all(d == 3 for d in g.degrees())
-
-
-def _solve_each(
-    g: MultiGraph, ks: Iterable[int], use_poly: bool, cubic: bool
-) -> dict[int, NuResult]:
-    """nu_k(g) for every k in ks.  Where every edge can be colored (k >= 4
-    on a cubic graph by Shannon, k above the maximum degree of a simple
-    graph by Vizing) one search finds that coloring; every other k is
-    solved from one reduction of g, made at the first such k."""
-    if g.m == 0:
-        return {k: NuResult(0, ColorClasses(k), 0) for k in ks}
-    searchable = _searchable(g)
-    simple = len(set(g.edges)) == g.m
-    max_degree = g.max_degree()
-    reduction = None
-    out: dict[int, NuResult] = {}
-    for k in ks:
-        if searchable and ((cubic and k >= 4) or (simple and k > max_degree)):
-            full, nodes = _search(g, [k] * g.n, k, g.m - 1, g.m)
-            assert full is not None
-            out[k] = NuResult(g.m, ColorClasses(k, full), nodes)
-            continue
-        if reduction is None:
-            reduction = _reduce(g)
-        out[k] = _solve_reduced(g, *reduction, k, use_poly)
-    return out
-
-
 def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     """Exact nu_k(g) with a verifying certificate.  Raises TooLarge if a
     component needs a search deeper than the recursion limit allows."""
     if k < 1:
         raise BadParameter("k must be positive")
-    return _solve_each(g, (k,), use_poly, _is_cubic(g))[k]
+    return _solve_reduced(g, *_reduce(g), k, use_poly)
 
 
 def solve_profile(
@@ -518,9 +473,8 @@ def solve_profile(
         return {}
     if ks[0] < 1:
         raise BadParameter("k must be positive")
-    cubic = _is_cubic(g)
     if (
-        cubic
+        g.is_cubic()
         and _searchable(g)
         and (not g.bridges() if bridgeless is None else bridgeless)
     ):
@@ -531,38 +485,25 @@ def solve_profile(
                 cert = ColorClasses(k, {e: c for e, c in full.items() if c <= k})
                 out[k] = NuResult(cert.colored_count, cert, nodes)
             return out
-    return _solve_each(g, ks, use_poly, cubic)
+    reduction = _reduce(g)
+    return {k: _solve_reduced(g, *reduction, k, use_poly) for k in ks}
 
 
 def resistance_r3(g: MultiGraph) -> int:
     """r3(g) = |E| - nu_3(g) for cubic g."""
-    if not _is_cubic(g):
+    if not g.is_cubic():
         raise NotCubic("resistance is defined for cubic graphs")
     return g.m - nu_k(g, 3).value
 
 
-def upper_bound(
-    g: MultiGraph,
-    k: int,
-    partial: Optional[ColorClasses] = None,
-    cap: Optional[Sequence[int]] = None,
-) -> int:
-    """Admissible bound on the best completion of a proper partial
-    coloring in which vertex v takes at most cap[v] (default k) colored
-    edges: the smaller of the capacity bound, adjusted for colored
-    edges, and k times a maximum matching of the edges whose endpoints
-    both have capacity."""
+def upper_bound(g: MultiGraph, k: int, cap: Optional[Sequence[int]] = None) -> int:
+    """Admissible bound on a proper k-coloring in which vertex v takes
+    at most cap[v] (default k) colored edges: the smaller of the
+    capacity bound and k times a maximum matching of the edges whose
+    endpoints both have capacity."""
     if cap is None:
         cap = [k] * g.n
-    colored = partial.assignment if partial is not None else {}
-    cdeg = [0] * g.n
-    udeg = [0] * g.n
-    for eid, (u, v) in enumerate(g.edges):
-        deg = cdeg if eid in colored else udeg
-        deg[u] += 1
-        deg[v] += 1
-    s = sum(min(cap[v] - cdeg[v], udeg[v]) for v in range(g.n))
-    cap_bound = len(colored) + min(g.m - len(colored), s // 2)
+    cap_bound = min(g.m, sum(map(min, cap, g.degrees())) // 2)
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         if cap[u] > 0 and cap[v] > 0:

@@ -135,7 +135,7 @@ def triangle_replace(h: MultiGraph) -> MultiGraph:
     to the three copies in incidence order.  Output is cubic and
     claw-free with 3|V| vertices and |E| + 3|V| edges.
     """
-    if h.n == 0 or any(h.degree(v) != 3 for v in range(h.n)):
+    if not h.is_cubic():
         raise NotCubic("triangle replacement is defined for cubic graphs")
     edges: list[tuple[int, int]] = []
     for v in range(h.n):

@@ -84,6 +84,10 @@ class MultiGraph:
     def max_degree(self) -> int:
         return max(self._degrees, default=0)
 
+    def is_cubic(self) -> bool:
+        """Whether the graph has a vertex and every vertex has degree 3."""
+        return self.n > 0 and all(d == 3 for d in self._degrees)
+
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge_id, other_endpoint) pairs at v, in edge order."""
         self._check_vertex(v)
@@ -237,8 +241,10 @@ class MultiGraph:
         rank = self.m - self.n + count
         return StructureFlags(
             connected=connected,
-            cubic=self.n > 0 and all(d == 3 for d in self._degrees),
-            bridgeless=not self.bridges(),
+            cubic=self.is_cubic(),
+            # a leaf's one edge is a bridge, so only graphs without a
+            # leaf need the low-link pass
+            bridgeless=1 not in self._degrees and not self.bridges(),
             max_degree=self.max_degree(),
             cycle_rank=rank,
             is_tree=connected and rank == 0,

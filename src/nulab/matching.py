@@ -241,7 +241,7 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = 10**9) -> list[Match
 def two_factor_from_pm(g: MultiGraph, pm: Matching) -> TwoFactor:
     """Decompose the complement of a perfect matching of a cubic graph
     into its cycles."""
-    if g.n == 0 or any(g.degree(v) != 3 for v in range(g.n)):
+    if not g.is_cubic():
         raise NotCubic("2-factor complement requires a cubic graph")
     covered = [0] * g.n
     for eid in pm.edge_ids:
@@ -261,7 +261,7 @@ def min_odd_two_factor(g: MultiGraph) -> int:
 
     The complement of each perfect matching is walked in place, and the
     search stops at the first 2-factor with no odd cycle."""
-    cubic = g.n > 0 and all(d == 3 for d in g.degrees())
+    cubic = g.is_cubic()
     adj = g.incidence()
     best = -1
     for at in _perfect_matchings(adj):

@@ -132,7 +132,7 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
     """Decompose a simple 2-edge-connected claw-free cubic graph."""
     if len(set(g.edges)) != g.m:
         raise NotInClass("input has parallel edges")
-    if g.n == 0 or any(d != 3 for d in g.degrees()):
+    if not g.is_cubic():
         raise NotInClass("input is not cubic")
     if not g.is_connected() or g.bridges():
         raise NotInClass("input is not 2-edge-connected")
@@ -217,8 +217,10 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
             if count:
                 replaced.append((eid, count))
 
+    # rest is not empty (the vertices are not all in diamonds), so there
+    # is a triangle and base.n > 0
     base = MultiGraph(len(triangles), h_edges)
-    if any(d != 3 for d in base.degrees()) or base.bridges() or not base.is_connected():
+    if not base.is_cubic() or base.bridges() or not base.is_connected():
         raise NotInClass("reduced graph is not 2-edge-connected cubic")
     total = sum(c for _, c in replaced)
     if g.n != 3 * base.n + 4 * total or g.m != base.m + 3 * base.n + 6 * total:

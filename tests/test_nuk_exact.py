@@ -61,7 +61,7 @@ def test_edge_cases():
         exact.nu_k(single, 0)
 
 
-def test_shortcut_cubic_high_k():
+def test_cubic_high_k_colours_every_edge():
     # every multigraph with max degree 3 is 4-edge-colorable
     for g in [families.petersen(), families.fig1_graph(), families.sylvester10()]:
         res = exact.nu_k(g, 4)
@@ -70,11 +70,25 @@ def test_shortcut_cubic_high_k():
         assert res.certificate.colored_count == g.m
 
 
-def test_shortcut_vizing_simple():
-    g = families.petersen_minus_vertex()  # simple, max degree 3
-    res = exact.nu_k(g, 4)
-    assert res.value == g.m
-    assert res.certificate.is_proper(g)
+def test_vizing_simple_colours_every_edge():
+    # a simple graph of maximum degree d is (d + 1)-edge-colorable
+    k4_tailed = build(6, list(families.k4().edges) + [(0, 4), (4, 5)])
+    for g in [families.petersen_minus_vertex(), k4_tailed]:
+        k = g.max_degree() + 1
+        res = exact.nu_k(g, k)
+        assert res.value == g.m
+        assert res.certificate.is_proper(g)
+        assert res.certificate.colored_count == g.m
+
+
+def test_trees_solve_without_search():
+    """A tree peels away whole, so pendant forcing solves it at every k,
+    also above its maximum degree, and no tree reaches the search."""
+    for g in corpus.random_trees(60, 10, 3):
+        for k in range(1, 6):
+            want = oracle.nu_k_oracle(g, k)
+            for use_poly in (True, False):
+                assert _check(g, k, want, use_poly).node_count == 0
 
 
 def test_disconnected_input():
@@ -86,14 +100,18 @@ def test_disconnected_input():
     assert exact.nu_k(g, 3).value == 7 + 3
 
 
+def _forced(g, k):
+    return set(exact._force(g.strip_pendants()[0], [k] * g.n))
+
+
 def test_reduce_pendant():
     star = families.star(5)
-    assert len(exact.reduce_pendant(star, 1)) == 1
-    assert len(exact.reduce_pendant(star, 2)) == 2
+    assert len(_forced(star, 1)) == 1
+    assert len(_forced(star, 2)) == 2
     path = families.path(6)
-    forced = exact.reduce_pendant(path, 3)
+    forced = _forced(path, 3)
     assert forced == set(range(5))  # whole path collapses
-    assert exact.reduce_pendant(families.cycle(5), 2) == set()
+    assert _forced(families.cycle(5), 2) == set()
 
 
 def test_resistance_r3():
@@ -110,8 +128,6 @@ def test_upper_bound_admissible(rng):
         for k in (1, 2, 3):
             res = exact.nu_k(g, k)
             assert exact.upper_bound(g, k) >= res.value
-            # the bound is consistent with a completed optimal coloring
-            assert exact.upper_bound(g, k, res.certificate) >= res.value
 
 
 def test_decompose_bridge_matches_direct():
