@@ -206,6 +206,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_edges < 0:
+        raise BadParameter(f"--max-edges must be >= 0, got {args.max_edges}")
     return _write_per_line(
         args.input,
         lambda g, _: {

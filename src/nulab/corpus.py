@@ -2,9 +2,11 @@
 exhaustive small-graph corpora used by the verification suites.
 
 The connected cubic census (n <= 14) enumerates labelled 2-factor +
-perfect-matching candidates and keeps one per isomorphism class, found
-by a small search that maps one cubic graph onto another along a BFS
-order (no general-purpose matcher).  The test suite checks its per-order
+perfect-matching candidates, the matchings drawn from the package's one
+perfect-matching core (matching.perfect_matchings) on the complement of
+each 2-factor, and keeps one per isomorphism class, found by a small
+search that maps one cubic graph onto another along a BFS order (no
+general-purpose matcher).  The test suite checks its per-order
 counts against the published census (1, 2, 5, 19, 85 for n = 4..12) and
 its isomorphism answers against networkx.
 """
@@ -17,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BadParameter
 from .graph import MultiGraph
+from .matching import perfect_matchings
 
 
 def random_tree(n: int, rng: random.Random) -> MultiGraph:
@@ -60,8 +63,10 @@ def random_unicyclics(count: int, max_n: int, seed: int) -> Iterator[MultiGraph]
 def _random_sizes(
     make: Callable[[int, random.Random], MultiGraph], count: int, max_n: int, seed: int
 ) -> Iterator[MultiGraph]:
-    """count graphs make(n, rng), n uniform in 2..max_n; max_n is
-    checked at the call, before any graph is drawn."""
+    """count graphs make(n, rng), n uniform in 2..max_n; count and max_n
+    are checked at the call, before any graph is drawn."""
+    if count < 0:
+        raise BadParameter(f"count must be >= 0, got {count}")
     if max_n < 2:
         raise BadParameter(f"max_n must be >= 2, got {max_n}")
     rng = random.Random(seed)
@@ -82,31 +87,6 @@ def _partitions(n: int, min_part: int = 3) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
-def _matchings_avoiding(n: int, banned: set) -> Iterator[list[tuple[int, int]]]:
-    """All perfect matchings of the vertex set 0..n-1 whose pairs avoid
-    the banned edge set."""
-    chosen: list[tuple[int, int]] = []
-    free = [True] * n
-
-    def rec(v: int) -> Iterator[list[tuple[int, int]]]:
-        while v < n and not free[v]:
-            v += 1
-        if v == n:
-            yield list(chosen)
-            return
-        free[v] = False
-        for w in range(v + 1, n):
-            if free[w] and (v, w) not in banned:
-                free[w] = False
-                chosen.append((v, w))
-                yield from rec(v + 1)
-                chosen.pop()
-                free[w] = True
-        free[v] = True
-
-    yield from rec(0)
-
-
 def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     """All connected simple cubic graphs with 4 <= n <= max_n, one per
     isomorphism class.
@@ -114,12 +94,12 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     Every connected simple cubic graph on at most 14 vertices has a
     perfect matching (the smallest counterexample has 16), so each is a
     2-factor plus a perfect matching: enumerate a canonical labeled
-    2-factor per cycle-type partition and all avoiding perfect matchings
-    on top of it.  Candidates are bucketed by their _Cubic.key and each
-    is kept unless _isomorphic maps a kept member of its bucket onto it;
-    the first member of each class found is its representative.  A
-    candidate is only its neighbour tuples; the MultiGraph is built for
-    representatives alone.
+    2-factor per cycle-type partition and every perfect matching of its
+    complement in K_n on top of it.  Candidates are bucketed by their
+    _Cubic.key and each is kept unless _isomorphic maps a kept member of
+    its bucket onto it; the first member of each class found is its
+    representative.  A candidate is only its neighbour tuples; the
+    MultiGraph is built for representatives alone.
     """
     if max_n > 14:
         raise BadParameter("PM-based cubic enumeration is valid only up to n = 14")
@@ -142,17 +122,20 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
             for u, v in cyc_edges:
                 cyc_nb[u] += (v,)
                 cyc_nb[v] += (u,)
-            banned = set(cyc_edges)
-            mate = [0] * n
-            for pm in _matchings_avoiding(n, banned):
-                for u, v in pm:
-                    mate[u], mate[v] = v, u
-                nb = [cyc_nb[v] + (mate[v],) for v in range(n)]
+            # the complement of the 2-factor in K_n, partners ascending;
+            # the pair (v, w) is labelled v ^ w, so v's partner is at[v] ^ v
+            free = [
+                [(v ^ w, w) for w in range(n) if w != v and w not in cyc_nb[v]]
+                for v in range(n)
+            ]
+            for at in perfect_matchings(free):
+                nb = [cyc_nb[v] + (at[v] ^ v,) for v in range(n)]
                 if not _connected(nb):
                     continue
                 cand = _Cubic(nb)
                 seen = buckets.setdefault(cand.key, [])
                 if not any(_isomorphic(rep, cand) for rep in seen):
+                    pm = [(v, at[v] ^ v) for v in range(n) if v < at[v] ^ v]
                     cand.graph = MultiGraph(n, cyc_edges + pm)
                     seen.append(cand)
         out.extend(c.graph for group in buckets.values() for c in group)
@@ -325,6 +308,5 @@ def all_unicyclic(max_edges: int) -> Iterator[MultiGraph]:
     possibly with repetition."""
     for n in range(2, max_edges + 1):
         for t in all_trees(n):
-            present = set(t.edges)
             for u, v in combinations(range(n), 2):
                 yield MultiGraph(n, list(t.edges) + [(u, v)])

@@ -4,8 +4,9 @@ Maximum matching is Edmonds' blossom algorithm for cardinality, in its
 breadth-first form with base contraction; everything built on top of
 perfect matchings is exhaustive and deterministic, which is what the
 inequality engine needs at desk scale.  One depth-first perfect-matching
-core serves both the enumeration and o(G); o(G) walks each complement
-2-factor in place and stops at the first 2-factor with no odd cycle.
+core, perfect_matchings, serves the enumeration, o(G) and the cubic
+census of nulab.corpus; o(G) walks each complement 2-factor in place and
+stops at the first 2-factor with no odd cycle.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _mark_path(
         v = parent[child]
 
 
-def _perfect_matchings(
+def perfect_matchings(
     adj: Sequence[Sequence[tuple[int, int]]],
 ) -> Iterator[list[int]]:
     """Every perfect matching of the loopless multigraph with incidence
@@ -193,9 +194,10 @@ def _perfect_matchings(
     first: the lowest uncovered vertex is matched along each of its
     edges to an uncovered vertex in edge order.  Each matching is
     yielded as one list, at[v] = the id of the matched edge at v; the
-    list is reused, so a consumer copies what it keeps.  An explicit
-    stack of (v, w, next index at v) replaces recursion, so the depth is
-    bounded by memory, not by the recursion limit."""
+    list is reused, so a consumer copies what it keeps.  Ids need only
+    be >= 0, not distinct: at[v] < 0 is what marks v uncovered.  An
+    explicit stack of (v, w, next index at v) replaces recursion, so the
+    depth is bounded by memory, not by the recursion limit."""
     n = len(adj)
     if n % 2 == 1:
         return
@@ -232,7 +234,7 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = 10**9) -> list[Match
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    pms = _perfect_matchings(g.incidence())
+    pms = perfect_matchings(g.incidence())
     out = [tuple(sorted(set(at))) for at in islice(pms, limit)]
     out.sort()
     return [Matching(frozenset(t)) for t in out]
@@ -264,7 +266,7 @@ def min_odd_two_factor(g: MultiGraph) -> int:
     cubic = g.is_cubic()
     adj = g.incidence()
     best = -1
-    for at in _perfect_matchings(adj):
+    for at in perfect_matchings(adj):
         if not cubic:
             raise NotCubic("2-factor complement requires a cubic graph")
         odd = _odd_cycle_count(adj, at, best)

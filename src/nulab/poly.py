@@ -9,8 +9,10 @@ the cycle.
 
 A part of a 2-core with one cycle is a bare cycle, every vertex of
 degree 2.  The exact solver hands such parts to cycle_optimum, one DP
-around the ring with its own coloring, and not to the tree DP, which
-stays as the independent route the tests compare against.
+around the ring (_ring_take) with its own coloring, and not to the tree
+DP, which stays as the independent route the tests compare against.
+The cycle deficiency x_k comes from the same ring DP: the cycle edges
+removed are those it leaves out.
 
 Capacities below k (used by the branch-and-bound front end when pendant
 edges have been forced) are supported throughout.
@@ -343,8 +345,9 @@ def cycle_deficiency(g: MultiGraph, k: int) -> CycleDeficiency:
 
 def cycle_deficiencies(g: MultiGraph, ks: Iterable[int]) -> dict[int, int]:
     """x_k (see cycle_deficiency) for every k in ks where it is defined,
-    from one pendant strip and one walk of the cycle; a k where a vertex
-    keeps more than k edges with every cycle edge removed is left out."""
+    from one pendant strip, one walk of the cycle and one _ring_take per
+    k; a k where a vertex keeps more than k edges with every cycle edge
+    removed is left out."""
     if not _connected_unicyclic(g):
         raise NotUnicyclic("graph is not connected with cycle rank 1")
     _, cyc_edges = g.strip_pendants()
@@ -360,48 +363,17 @@ def cycle_deficiencies(g: MultiGraph, ks: Iterable[int]) -> dict[int, int]:
     for k in ks:
         if most_left > k:
             continue
-        # ring[i] needs at least deg - k of its cycle edges removed
-        x = _min_cycle_cover([max(0, deg[v] - k) for v in ring])
-        if x == 0 and k == 2 and bare_odd:
-            # the graph is itself an odd cycle: 2 colors need one removal
-            x = 1
-        out[k] = x
+        # ring[i] must lose at least d = deg - k of its 2 cycle edges, so
+        # it keeps at most 2 - d; most_left <= k makes d <= 2, so no cap
+        # is negative.  x_k is the cycle length less the most edges kept.
+        caps = [min(2, k + 2 - deg[v]) for v in ring]
+        if min(caps) == 2:
+            # no demand: nothing is removed, unless the graph is itself
+            # an odd cycle, which 2 colors cover only with one removal
+            out[k] = int(k == 2 and bare_odd)
+        else:
+            out[k] = len(ring) - sum(_ring_take(caps))
     return out
-
-
-def _min_cycle_cover(demand: list[int]) -> int:
-    """Minimum subset of cycle edges such that each vertex i has at least
-    demand[i] chosen incident edges (edges i-1..i and i..i+1, cyclically)."""
-    l = len(demand)
-    if all(d == 0 for d in demand):
-        return 0
-    best = l + 1
-    # edge i connects vertex i and vertex i+1 (mod l)
-    for first in (0, 1):
-        # dp over edges 1..l-1; state: previous edge chosen?
-        dp = {first: first}
-        ok = True
-        for i in range(1, l):
-            ndp: dict[int, int] = {}
-            for prev, cost in dp.items():
-                for cur in (0, 1):
-                    # vertex i is incident to edges i-1 and i
-                    if prev + cur < demand[i]:
-                        continue
-                    ndp[cur] = min(ndp.get(cur, l + 1), cost + cur)
-            dp = ndp
-            if not dp:
-                ok = False
-                break
-        if not ok:
-            continue
-        for last, cost in dp.items():
-            # vertex 0 is incident to edges l-1 and 0
-            if last + first >= demand[0]:
-                best = min(best, cost)
-    if best > l:
-        raise DeficiencyUndefined("cycle demands cannot be met")
-    return best
 
 
 def color_sparse_subgraph(

@@ -38,11 +38,10 @@ def compute_profile(
     g: MultiGraph,
     ks: Iterable[int] = (1, 2, 3, 4),
     include_o: bool = True,
-    use_poly: bool = True,
 ) -> GraphProfile:
     """Exact profile with nu_k for every requested k."""
     flags = profile_flags(g)
-    solved = exact.solve_profile(g, ks, use_poly=use_poly, bridgeless=flags.bridgeless)
+    solved = exact.solve_profile(g, ks, bridgeless=flags.bridgeless)
     nu = {k: res.value for k, res in solved.items()}
     r3 = g.m - nu[3] if flags.cubic and 3 in nu else None
     oG = None

@@ -215,6 +215,7 @@ def test_decompose_command(tmp_path, capsys):
         ["verify", "--all-k", "3..1"],
         ["verify", "--rules", "T2.2.1,T2.2.l"],
         ["solve", "--all-k", "1..3", "--certificate"],
+        ["oracle", "--max-edges", "-1"],
     ],
 )
 def test_bad_parameters_exit_1(tmp_path, capsys, argv):
@@ -232,9 +233,17 @@ def test_gen_cubic_beyond_cap_exits_1(capsys):
     assert "14" in out.err
 
 
-@pytest.mark.parametrize("family", ["random-trees", "random-unicyclic"])
-def test_gen_random_below_two_vertices_exits_1(capsys, family):
-    assert cli.main(["gen", family, "--max-n", "1"]) == cli.EXIT_USAGE
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["random-trees", "--max-n", "1"], id="random-trees"),
+        pytest.param(["random-unicyclic", "--max-n", "1"], id="random-unicyclic"),
+        pytest.param(["random-trees", "--count", "-1"], id="random-trees-count"),
+        pytest.param(["random-unicyclic", "--count", "-1"], id="random-unicyclic-count"),
+    ],
+)
+def test_gen_random_below_two_vertices_exits_1(capsys, argv):
+    assert cli.main(["gen", *argv]) == cli.EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("gen: ")

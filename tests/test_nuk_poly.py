@@ -280,6 +280,10 @@ def test_cycle_deficiencies_match_per_k_and_the_definition(rng):
     graphs += [families.cycle(l) for l in (3, 4, 5, 7)]
     graphs += [build(2, [(0, 1), (0, 1)]), build(3, [(0, 1), (0, 1), (1, 2)])]
     graphs.append(build(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5)]))
+    # every ring vertex must lose 2, then 1, then 0 cycle edges as k grows
+    graphs += [families.remark_family(k, l) for k, l in ((2, 3), (2, 4), (2, 5), (3, 3))]
+    # a 4-cycle whose vertices have degrees 4, 3, 2, 2: demands 2, 1, 0, 0 at k = 2
+    graphs.append(build(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (1, 6)]))
     ks = range(1, 6)
     undefined = 0
     for g in graphs:
