@@ -190,6 +190,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k) if args.all_k else None
     if ks and args.certificate:
         raise BadParameter("--certificate needs a single --k, not --all-k")
+    if not ks and args.k < 1:
+        raise BadParameter(f"--k must be >= 1, got {args.k}")
 
     def solve(g: MultiGraph, _: str) -> dict:
         if ks:
@@ -206,6 +208,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise BadParameter(f"--k must be >= 1, got {args.k}")
     if args.max_edges < 0:
         raise BadParameter(f"--max-edges must be >= 0, got {args.max_edges}")
     return _write_per_line(

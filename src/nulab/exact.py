@@ -29,7 +29,8 @@ component of the graph.  Per k, the peeled edges are forced into an
 optimum in peeling order (each consuming a color slot at both ends),
 each part of cycle rank at most 1, which in a 2-core is a bare cycle,
 goes to the ring DP of poly.cycle_optimum (if use_poly is set) and every
-other part to branch and bound, and the forced edges are colored last.
+other part to branch and bound, and the forced edges are colored last,
+newest first (poly.color_pendants).
 Capacities below k thread through the whole pipeline.
 
 solve_profile answers several k at once: on a class-1 cubic graph one
@@ -391,26 +392,6 @@ def _force(peeled: Sequence[tuple[int, int, int]], cap: list[int]) -> list[int]:
     return forced
 
 
-def _color_forced(g: MultiGraph, forced: list[int], assign: dict[int, int]) -> None:
-    """Color forced pendant edges, newest first, each with the smallest
-    color free at both ends; one exists within 1..k by the capacity
-    accounting of the forcing pass."""
-    if not forced:
-        return
-    used = [0] * g.n  # bitmask of colors at each vertex
-    for eid, c in assign.items():
-        u, v = g.edges[eid]
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-    for eid in reversed(forced):
-        u, v = g.edges[eid]
-        taken = used[u] | used[v] | 1  # bit 0 is no color
-        bit = ~taken & (taken + 1)
-        assign[eid] = bit.bit_length() - 1
-        used[u] |= bit
-        used[v] |= bit
-
-
 # ---------------------------------------------------------------------------
 # main entry points
 
@@ -438,7 +419,7 @@ def _solve_reduced(
             nodes += pnodes
         value += pvalue
         assign.update({p.edge_ids[e]: c for e, c in local.items()})
-    _color_forced(g, forced, assign)
+    poly.color_pendants(g, forced, assign)
     return NuResult(value, ColorClasses(k, assign), nodes)
 
 

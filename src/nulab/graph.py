@@ -195,8 +195,7 @@ class MultiGraph:
         Iterative depth-first low-link pass.  An edge traversed into the
         DFS tree may not be re-used as its own back edge, but a parallel
         twin may be, which is exactly what keeps doubled edges off the
-        bridge list; a final multiplicity check enforces that invariant
-        explicitly.
+        bridge list.
         """
         disc = [-1] * self.n
         low = [0] * self.n
@@ -229,11 +228,7 @@ class MultiGraph:
                         low[parent] = min(low[parent], low[v])
                         if low[v] > disc[parent]:
                             result.add(in_edge)
-        # parallel twins are never bridges
-        mult: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            mult[e] = mult.get(e, 0) + 1
-        return {e for e in result if mult[self.edges[e]] == 1}
+        return result
 
     def structure_flags(self) -> StructureFlags:
         count = self.component_count()

@@ -12,7 +12,9 @@ degree 2.  The exact solver hands such parts to cycle_optimum, one DP
 around the ring (_ring_take) with its own coloring, and not to the tree
 DP, which stays as the independent route the tests compare against.
 The cycle deficiency x_k comes from the same ring DP: the cycle edges
-removed are those it leaves out.
+removed are those it leaves out.  The tree DP's chosen subgraphs are
+colored as the solver colors: whole cycles (_whole_cycle) and then
+pendant edges newest first (color_pendants).
 
 Capacities below k (used by the branch-and-bound front end when pendant
 edges have been forced) are supported throughout.
@@ -118,15 +120,6 @@ def _forest_dp(
     return len(chosen), chosen
 
 
-def find_cycle(g: MultiGraph) -> tuple[list[int], list[int]]:
-    """Cycle edges and cycle vertices of a graph whose every component
-    has cycle rank <= 1: the edges that survive pendant stripping.
-    Handles the 2-cycle formed by a parallel pair."""
-    _, cyc_edges = g.strip_pendants()
-    cyc_vertices = sorted({u for eid in cyc_edges for u in g.endpoints(eid)})
-    return cyc_edges, cyc_vertices
-
-
 def _ring(g: MultiGraph, cycle: Sequence[int]) -> list[int]:
     """The vertices of a cycle from walk_cycles, in walking order:
     ring[i] lies between cycle edges i - 1 and i."""
@@ -171,7 +164,7 @@ def _component_optimum(
     e left out, or e taken with the caps at its ends lowered by 1.  An
     odd cycle at k = 2 must not be taken whole (_odd_cycle_optimum)."""
     all_edges = set(range(h.m))
-    cyc, _ = find_cycle(h)
+    cyc = h.strip_pendants()[1]
     if not cyc:
         return _forest_dp(h, all_edges, cap)
     if k == 2 and len(cyc) % 2 == 1:
@@ -261,10 +254,7 @@ def cycle_optimum(
     caps = [cap[v] for v in _ring(h, cycle)]
     if min(caps) >= 2:
         if k != 2 or l % 2 == 0:
-            # the whole cycle, with color 3 closing an odd one (k >= 3)
-            return l, {
-                e: 3 if i == l - 1 and l % 2 else 1 + i % 2 for i, e in enumerate(cycle)
-            }
+            return l, _whole_cycle(cycle)  # an odd one has k >= 3
         take = [1] * (l - 1) + [0]
     else:
         take = _ring_take(caps)
@@ -376,57 +366,45 @@ def cycle_deficiencies(g: MultiGraph, ks: Iterable[int]) -> dict[int, int]:
     return out
 
 
+def _whole_cycle(cycle: Sequence[int]) -> dict[int, int]:
+    """A proper coloring of every edge of a cycle, given in walking
+    order: 1, 2, 1, 2, ..., with color 3 closing an odd one."""
+    l = len(cycle)
+    return {e: 3 if i == l - 1 and l % 2 else 1 + i % 2 for i, e in enumerate(cycle)}
+
+
+def color_pendants(g: MultiGraph, forced: list[int], assign: dict[int, int]) -> None:
+    """Color pendant edges, given in peeling order, newest first, each
+    with the smallest color free at both ends: an edge meets no colored
+    edge at its leaf, so one is free in 1..k if no vertex keeps over k."""
+    if not forced:
+        return
+    used = [0] * g.n  # bitmask of colors at each vertex
+    for eid, c in assign.items():
+        u, v = g.edges[eid]
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    for eid in reversed(forced):
+        u, v = g.edges[eid]
+        taken = used[u] | used[v] | 1  # bit 0 is no color
+        bit = ~taken & (taken + 1)
+        assign[eid] = bit.bit_length() - 1
+        used[u] |= bit
+        used[v] |= bit
+
+
 def color_sparse_subgraph(
     g: MultiGraph, chosen: frozenset[int] | set[int], k: int
 ) -> dict[int, int]:
     """Proper k-edge-coloring (colors 1..k) of a chosen edge set whose
     components each have at most one cycle, max degree <= k, and no odd
-    cycle component when k == 2."""
-    sub_inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in chosen:
-        u, v = g.endpoints(eid)
-        sub_inc[u].append((eid, v))
-        sub_inc[v].append((eid, u))
-    colors: dict[int, int] = {}
-    used: list[set[int]] = [set() for _ in range(g.n)]
-
-    # color each cycle first, alternating, with color 3 closing an odd one
+    cycle component when k == 2: each cycle of its 2-core whole, then
+    the peeled edges by color_pendants."""
     ordered = sorted(chosen)
     sub = MultiGraph(g.n, [g.endpoints(e) for e in ordered])
-    for cycle in sub.walk_cycles(find_cycle(sub)[0]):
-        l = len(cycle)
-        for i, se in enumerate(cycle):
-            c = 3 if i == l - 1 and l % 2 == 1 else 1 + (i % 2)
-            eid = ordered[se]
-            colors[eid] = c
-            u, v = g.endpoints(eid)
-            used[u].add(c)
-            used[v].add(c)
-
-    # BFS outward, assigning the smallest free color at the parent side
-    seen = [False] * g.n
-    roots = sorted({u for eid in colors for u in g.endpoints(eid)})
-    queue = list(roots) + [v for v in range(g.n) if sub_inc[v]]
-    for start in queue:
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for eid, w in sub_inc[v]:
-                if eid in colors:
-                    if not seen[w]:
-                        seen[w] = True
-                        frontier.append(w)
-                    continue
-                c = next(
-                    c for c in range(1, k + 1) if c not in used[v] and c not in used[w]
-                )
-                colors[eid] = c
-                used[v].add(c)
-                used[w].add(c)
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-    return colors
+    peeled, core = sub.strip_pendants()
+    colors: dict[int, int] = {}
+    for cycle in sub.walk_cycles(core):
+        colors.update(_whole_cycle(cycle))
+    color_pendants(sub, [eid for eid, _, _ in peeled], colors)
+    return {ordered[e]: c for e, c in colors.items()}

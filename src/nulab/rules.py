@@ -435,9 +435,10 @@ def hunt(
     profiled.  Bad rule ids or a negative budget raise BadParameter at
     the call; the scan itself runs as the result is iterated.  It yields
     a HuntHit per violating report, and a HuntError, without ending the
-    scan, for a graph the profiler fails on.  Every result for one graph
-    is yielded before the next graph is drawn from corpus.  No hit is
-    the expected outcome.
+    scan, for a graph the profiler fails on or whose profile a hunted
+    rule cannot evaluate (a nu_k the profile lacks).  Every result for
+    one graph is yielded before the next graph is drawn from corpus.  No
+    hit is the expected outcome.
     """
     ids = check_rule_ids(
         CONJECTURE_IDS if rule_ids is None else rule_ids,
@@ -455,10 +456,11 @@ def hunt(
         for g in islice(corpus, budget):
             try:
                 profile = profiler(g)
+                reports = evaluate_all(profile, ids)
             except NuLabError as exc:
                 yield HuntError(g, exc)
                 continue
-            for rep in evaluate_all(profile, ids):
+            for rep in reports:
                 if rep.applicable and rep.holds is False:
                     yield HuntHit(g, profile, rep)
 

@@ -188,6 +188,16 @@ def test_hunt_clean_exit_0(tmp_path, capsys):
     assert header["rules"] == ["C1.2"]
 
 
+def test_hunt_writes_an_error_for_a_rule_it_cannot_evaluate(tmp_path, capsys):
+    """Under --all-k 3..3 no profile has the nu_2 that hunted rules need:
+    each graph gets an error record, as under verify, and the exit is 0."""
+    path = _write_graphs(tmp_path / "g.s6", [families.petersen(), families.k4()])
+    code, recs, _ = _run(capsys, ["hunt", path, "--all-k", "3..3"])
+    assert code == cli.EXIT_OK
+    assert recs[0]["header"] is True
+    assert recs[1:] == [{"line": str(i), "error": "nu[2]"} for i in (1, 2)]
+
+
 def test_hunt_rejects_theorem_rule(tmp_path, capsys):
     path = _write_graphs(tmp_path / "g.s6", [families.k4()])
     code = cli.main(["hunt", str(path), "--rule", "T2.2.1"])
@@ -224,6 +234,17 @@ def test_bad_parameters_exit_1(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(argv[0] + ": ")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_bad_k_on_empty_input_exits_1(tmp_path, capsys, command):
+    """--k is checked before any input is read, not per graph."""
+    path = tmp_path / "empty.s6"
+    path.write_text("")
+    assert cli.main([command, str(path), "--k", "0"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(command + ": ")
 
 
 def test_gen_cubic_beyond_cap_exits_1(capsys):

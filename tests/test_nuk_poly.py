@@ -68,10 +68,39 @@ def test_best_degree_bounded_respects_caps(rng):
         assert opt.value == len(opt.chosen_edges)
 
 
+def _graft_trees(g, rng):
+    """g with a random tree of 0..3 edges hung from each of its leaves."""
+    edges, n = list(g.edges), g.n
+    for v in range(g.n):
+        if g.degree(v) == 1:
+            tree = [v]
+            for _ in range(rng.randint(0, 3)):
+                edges.append((rng.choice(tree), n))
+                tree.append(n)
+                n += 1
+    return MultiGraph(n, edges)
+
+
 def test_color_sparse_subgraph_proper(rng):
+    """Every best_degree_bounded choice, with or without a cycle, gets a
+    proper coloring of exactly its edges."""
+    cases = []
     for _ in range(60):
         g = corpus.random_unicyclic(rng.randint(3, 10), rng)
-        k = rng.randint(2, 4)
+        cases += [(g, k) for k in range(1, 6)]
+    for _ in range(30):
+        t = corpus.random_tree(rng.randint(1, 12), rng)
+        cases += [(t, k) for k in range(1, 6)]
+        # a tree with one edge doubled: the cycle is a parallel pair
+        t = corpus.random_tree(rng.randint(2, 9), rng)
+        doubled = MultiGraph(t.n, t.edges + (rng.choice(t.edges),))
+        cases += [(doubled, k) for k in range(1, 6)]
+    # odd cycles with pendant trees at k = 3, taken whole (color 3 closes
+    # the cycle) with one pendant per cycle vertex, cut with two
+    for l in (3, 5, 7):
+        for k in (2, 3):
+            cases.append((_graft_trees(families.remark_family(k, l), rng), 3))
+    for g, k in cases:
         opt = poly.best_degree_bounded(g, k)
         colors = poly.color_sparse_subgraph(g, opt.chosen_edges, k)
         assert set(colors) == set(opt.chosen_edges)
@@ -80,17 +109,12 @@ def test_color_sparse_subgraph_proper(rng):
 
 
 def test_find_cycle():
-    g = families.cycle(5)
-    cyc_e, cyc_v = poly.find_cycle(g)
-    assert sorted(cyc_e) == [0, 1, 2, 3, 4]
-    assert cyc_v == [0, 1, 2, 3, 4]
+    """The cycle edges are those that survive pendant stripping."""
+    assert families.cycle(5).strip_pendants()[1] == [0, 1, 2, 3, 4]
     # parallel pair forms a 2-cycle
-    g = build(3, [(0, 1), (0, 1), (1, 2)])
-    cyc_e, cyc_v = poly.find_cycle(g)
-    assert sorted(cyc_e) == [0, 1]
-    assert cyc_v == [0, 1]
+    assert build(3, [(0, 1), (0, 1), (1, 2)]).strip_pendants()[1] == [0, 1]
     # forest has no cycle
-    assert poly.find_cycle(families.path(4)) == ([], [])
+    assert families.path(4).strip_pendants()[1] == []
 
 
 def test_forest_components_with_caps():
@@ -142,8 +166,7 @@ def test_deficiency_consistent_with_nu(rng):
     <= k+1) this is exact."""
     for _ in range(80):
         g = corpus.random_unicyclic(rng.randint(3, 10), rng)
-        cyc_e, cyc_v = poly.find_cycle(g)
-        on_cycle = set(cyc_v)
+        on_cycle = {v for e in g.strip_pendants()[1] for v in g.edges[e]}
         for k in (1, 2, 3, 4):
             try:
                 x = poly.cycle_deficiency(g, k).x_k
@@ -161,7 +184,7 @@ def test_odd_cycle_optimum_is_the_best_single_drop(rng):
     checked = 0
     while checked < 60:
         g = corpus.random_unicyclic(rng.randint(3, 14), rng)
-        cyc, _ = poly.find_cycle(g)
+        cyc = g.strip_pendants()[1]
         if len(cyc) % 2 == 0:
             continue
         checked += 1

@@ -177,6 +177,16 @@ def test_hunt_budget_and_error_skip():
     assert str(results[0].error) == "synthetic failure"
 
 
+def test_hunt_yields_an_error_for_a_rule_it_cannot_evaluate():
+    """A profile without nu_2 leaves a hunted rule unevaluable: each such
+    graph yields a HuntError and the scan goes on."""
+    graphs = [families.petersen(), families.k4()]
+    results = list(rules.hunt(graphs, profiler=lambda g: compute_profile(g, ks=(3,))))
+    assert [type(r) for r in results] == [rules.HuntError] * 2
+    assert [r.graph for r in results] == graphs
+    assert all(isinstance(r.error, MissingProfileField) for r in results)
+
+
 CROSS_ROUTE_IDS = ("R3-LE-OG", "R3-0-IFF-OG-0", "OG-EVEN")
 
 
