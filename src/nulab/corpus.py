@@ -103,6 +103,8 @@ def connected_cubic_graphs(max_n: int) -> list[MultiGraph]:
     """
     if max_n > 14:
         raise BadParameter("PM-based cubic enumeration is valid only up to n = 14")
+    if max_n < 4:
+        raise BadParameter("the smallest cubic graph has n = 4; max_n must be >= 4")
     out: list[MultiGraph] = []
     for n in range(4, max_n + 1, 2):
         buckets: dict[tuple, list[_Cubic]] = {}

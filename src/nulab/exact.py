@@ -7,11 +7,12 @@ best coloring found so far, and ends when the search space is exhausted
 shrinks the skip budget, the number of edges a coloring that beats the
 incumbent may leave uncolored.
 
-The search processes edges in a fixed order (descending endpoint
-degree sum, ties by id), breaks color symmetry (a new color must be
-exactly one more than the maximum used so far), canonicalizes parallel
-twins (colored twins form an id-prefix of their group), prunes on a
-per-vertex capacity bound, and memoizes frontier states that cannot
+The search processes edges in a fixed order, taken from a greedy
+vertex layout that keeps the memo's frontier narrow (_static_order),
+breaks color symmetry (a new color must be exactly one more than the
+maximum used so far), canonicalizes parallel twins (colored twins form
+an id-prefix of their group), prunes on a per-vertex capacity bound,
+and memoizes frontier states that cannot
 beat the incumbent, so that structurally repeated subproblems are
 refuted once.  A memo key is one int: the position, the skips so far
 and a code of the frontier's color masks that is the same for masks
@@ -40,7 +41,6 @@ reduction across its ks.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -87,37 +87,68 @@ class NuResult:
 
 
 def _static_order(h: MultiGraph) -> list[int]:
-    """Connected processing order: prefer edges closing into the visited
-    region (constraints bite immediately and the memo frontier stays
-    narrow), then heavier endpoint degree sums, then lower id.
+    """Processing order from a greedy vertex layout that keeps the memo
+    frontier narrow: each placed vertex brings its edges to earlier
+    vertices, in the order those were placed, so edge ids only order
+    parallel edges.
 
-    One heap per count of visited endpoints (0, 1, 2); an edge moves up
-    a heap when one of its endpoints is first visited, and stale entries
-    are dropped when they reach the top."""
-    deg = h.degrees()
-    rank = [(-deg[u] - deg[v], e) for e, (u, v) in enumerate(h.edges)]
-    seen = [0] * h.m  # visited endpoints per edge; 3 once ordered
-    heaps: list[list[tuple[int, int]]] = [list(rank), [], []]
-    heapq.heapify(heaps[0])
-    visited = [False] * h.n
+    The next vertex is the candidate (an unplaced neighbour of the
+    placed set) c with the least (c joins the frontier) - lonely[c],
+    then the largest into[c], then the least fresh[c], then the lowest
+    index.  into[c] counts c's edges to placed vertices, lonely[c] the
+    placed vertices whose open edges all go to c, which placing c
+    retires from the frontier, and fresh[c] c's edges to vertices not
+    yet reached, neither placed nor candidates.  With no candidate left,
+    the lowest unplaced vertex starts the next component.  The counts
+    are kept up to date in O(m) steps in all."""
+    n, deg, inc = h.n, h.degrees(), h.incidence()
+    pos = [-1] * n  # placement index, -1 while unplaced
+    into = [0] * n
+    lonely = [0] * n
+    fresh = list(deg)
+    # the sum and the sum of squares of the far ends of a placed vertex's
+    # open edges, which all go to one vertex exactly when
+    # open * squares == total * total
+    total, squares = [0] * n, [0] * n
+    cand: set[int] = set()
+
+    def reach(x: int) -> None:
+        cand.add(x)
+        for _, y in inc[x]:
+            fresh[y] -= 1
+
     order: list[int] = []
-    for _ in range(h.m):
-        for count in (2, 1, 0):
-            heap = heaps[count]
-            while heap and seen[heap[0][1]] != count:
-                heapq.heappop(heap)
-            if heap:
-                break
-        e = heapq.heappop(heap)[1]
-        order.append(e)
-        seen[e] = 3
-        for v in h.edges[e]:
-            if not visited[v]:
-                visited[v] = True
-                for f, _ in h.incident(v):
-                    if seen[f] < 2:
-                        seen[f] += 1
-                        heapq.heappush(heaps[seen[f]], rank[f])
+    start = 0
+    for i in range(n):
+        if not cand:
+            while pos[start] >= 0:
+                start += 1
+            reach(start)
+        v = min(
+            [((deg[c] > into[c]) - lonely[c], -into[c], fresh[c], c) for c in cand]
+        )[3]
+        cand.remove(v)
+        back = []
+        for e, w in inc[v]:
+            into[w] += 1
+            if pos[w] >= 0:
+                back.append((pos[w], e))
+                c = deg[w] - into[w]
+                s = total[w] = total[w] - v
+                q = squares[w] = squares[w] - v * v
+                if c and c * q == s * s and s != c * v:  # newly lonely
+                    lonely[s // c] += 1
+            else:
+                total[v] += w
+                squares[v] += w * w
+                if w not in cand:
+                    reach(w)
+        c, s = deg[v] - into[v], total[v]
+        if c and c * squares[v] == s * s:
+            lonely[s // c] += 1
+        back.sort()
+        order += [e for _, e in back]
+        pos[v] = i
     return order
 
 

@@ -254,6 +254,15 @@ def test_gen_cubic_beyond_cap_exits_1(capsys):
     assert "14" in out.err
 
 
+@pytest.mark.parametrize("max_n", ["3", "-2"])
+def test_gen_cubic_below_four_exits_1(capsys, max_n):
+    assert cli.main(["gen", "cubic", "--max-n", max_n]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("gen: ")
+    assert "4" in out.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
