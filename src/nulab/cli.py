@@ -155,16 +155,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # solve / oracle
 
 
+# the most values an --all-k range may hold
+MAX_ALL_K = 64
+
+
 def _parse_all_k(spec: str) -> list[int]:
-    """A range 'lo..hi' with 1 <= lo <= hi."""
+    """A range 'lo..hi' with 1 <= lo <= hi and at most MAX_ALL_K values."""
     lo, sep, hi = spec.partition("..")
     try:
-        ks = list(range(int(lo), int(hi) + 1))
+        ks = range(int(lo), int(hi) + 1)
     except ValueError:
-        ks = []
+        ks = range(0)
     if not sep or not ks or ks[0] < 1:
         raise BadParameter(f"--all-k expects a range like 1..4, got {spec!r}")
-    return ks
+    if ks.stop - ks.start > MAX_ALL_K:
+        raise BadParameter(f"--all-k takes at most {MAX_ALL_K} values, got {spec!r}")
+    return list(ks)
 
 
 def _write_per_line(
@@ -238,21 +244,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _report_dict(rep: rules.RuleReport) -> dict:
-    out: dict = {
-        "rule_id": rep.rule_id,
-        "kind": rep.kind,
-        "applicable": rep.applicable,
-    }
-    if rep.applicable:
-        out["holds"] = rep.holds
-        out["tight"] = rep.tight
-        out["lhs"] = rep.lhs
-        out["rhs"] = rep.rhs
-    if rep.k is not None:
-        out["k"] = rep.k
-    if rep.note:
-        out["note"] = rep.note
-    return out
+    return {name: v for name, v in vars(rep).items() if v is not None}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 from . import poly
 from .errors import BadParameter, NotABridge, NotCubic, TooLarge
 from .graph import Component, MultiGraph
-from .matching import mate, max_matching_ids
+from .matching import max_matching_ids
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,10 @@ def _solve_bb(
     """Exact capped optimum on one residual component: one search that
     starts from the greedy incumbent and stops at the upper bound."""
     greedy = _greedy_peel(h, cap, k)
-    found, nodes = _search(h, cap, k, len(greedy), upper_bound(h, k, cap=cap))
+    # the peel's first pass, color 1, is a maximum matching of the edges
+    # whose ends both have capacity: the one upper_bound takes
+    matched = list(greedy.values()).count(1)
+    found, nodes = _search(h, cap, k, len(greedy), _bound(h, k, cap, matched))
     best = greedy if found is None else found
     return len(best), best, nodes
 
@@ -463,33 +466,24 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
 
 
 def solve_profile(
-    g: MultiGraph,
-    ks: Iterable[int],
-    use_poly: bool = True,
-    bridgeless: Optional[bool] = None,
+    g: MultiGraph, ks: Iterable[int], use_poly: bool = True
 ) -> dict[int, NuResult]:
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
-    A bridgeless cubic graph whose search fits under the recursion limit
-    is first searched for a 3-edge-colouring (one search with k = 3 for
-    every edge coloured; a cubic graph with a bridge has none).  If one
-    exists, its colour classes
-    1..k certify every nu_k = min(k, 3) * n / 2, the capacity bound, and
-    each result carries the node count of that one search.  Otherwise,
-    and on every other graph, the ks share one reduction of g, and each
-    result is the one nu_k gives.  A caller that already knows whether g
-    has a bridge passes it as bridgeless, so the bridges are not
-    searched again."""
+    A cubic graph whose search fits under the recursion limit is first
+    searched for a 3-edge-colouring (one search with k = 3 for every
+    edge coloured; on a cubic graph with a bridge it fails, by the
+    parity lemma).  If one exists, its colour classes 1..k certify every
+    nu_k = min(k, 3) * n / 2, the capacity bound, and each result
+    carries the node count of that one search.  Otherwise, and on every
+    other graph, the ks share one reduction of g, and each result is the
+    one nu_k gives."""
     ks = sorted(set(ks))
     if not ks:
         return {}
     if ks[0] < 1:
         raise BadParameter("k must be positive")
-    if (
-        g.is_cubic()
-        and _searchable(g)
-        and (not g.bridges() if bridgeless is None else bridgeless)
-    ):
+    if g.is_cubic() and _searchable(g):
         full, nodes = _search(g, [3] * g.n, 3, g.m - 1, g.m)
         if full is not None:
             out = {}
@@ -508,6 +502,12 @@ def resistance_r3(g: MultiGraph) -> int:
     return g.m - nu_k(g, 3).value
 
 
+def _bound(g: MultiGraph, k: int, cap: Sequence[int], matched: int) -> int:
+    """The smaller of the capacity bound and k times matched, the size of
+    a maximum matching of the edges whose endpoints both have capacity."""
+    return min(g.m, sum(map(min, cap, g.degrees())) // 2, k * matched)
+
+
 def upper_bound(g: MultiGraph, k: int, cap: Optional[Sequence[int]] = None) -> int:
     """Admissible bound on a proper k-coloring in which vertex v takes
     at most cap[v] (default k) colored edges: the smaller of the
@@ -515,14 +515,7 @@ def upper_bound(g: MultiGraph, k: int, cap: Optional[Sequence[int]] = None) -> i
     endpoints both have capacity."""
     if cap is None:
         cap = [k] * g.n
-    cap_bound = min(g.m, sum(map(min, cap, g.degrees())) // 2)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if cap[u] > 0 and cap[v] > 0:
-            adj[u].append(v)
-            adj[v].append(u)
-    matched = sum(w >= 0 for w in mate(g.n, adj)) // 2
-    return min(cap_bound, k * matched)
+    return _bound(g, k, cap, len(_greedy_peel(g, cap, 1)))
 
 
 def decompose_bridge(g: MultiGraph, eid: int, k: int) -> int:

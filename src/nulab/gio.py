@@ -19,6 +19,10 @@ from .graph import MultiGraph
 
 _GRAPH6_HEADER = ">>graph6<<"
 _SPARSE6_HEADER = ">>sparse6<<"
+# The largest vertex count a 4-word N(n) holds.  A sparse6 line may name
+# any count in a few bytes, and each vertex costs memory before the
+# first edge is read, so larger counts are refused.
+MAX_SPARSE6_N = 258047
 
 
 def _data(line: str, err, offset0: int) -> list[int]:
@@ -53,7 +57,7 @@ def _parse_n(vals: list[int], err, offset0: int) -> tuple[int, int]:
 def _emit_n(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_SPARSE6_N:
         return chr(126) + "".join(
             chr(((n >> s) & 63) + 63) for s in (12, 6, 0)
         )
@@ -114,6 +118,8 @@ def parse_sparse6(line: str) -> MultiGraph:
         raise MalformedSparse6("missing ':' prefix", offset0)
     vals = _data(line[1:], MalformedSparse6, offset0 + 1)
     n, used = _parse_n(vals, MalformedSparse6, offset0 + 1)
+    if n > MAX_SPARSE6_N:
+        raise MalformedSparse6(f"vertex count {n} exceeds {MAX_SPARSE6_N}", offset0 + 1)
     body = vals[used:]
     bits: list[int] = []
     for w in body:

@@ -7,30 +7,22 @@ profile.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from . import exact, poly, structure
-from .errors import NoTwoFactor
 from .graph import MultiGraph
 from .matching import max_matching, min_odd_two_factor
 from .rules import GraphProfile, ProfileFlags
 
 
 def profile_flags(g: MultiGraph) -> ProfileFlags:
-    sf = g.structure_flags()
-    has_pm = g.n % 2 == 0 and 2 * len(max_matching(g)) == g.n
     return ProfileFlags(
-        connected=sf.connected,
-        cubic=sf.cubic,
-        bridgeless=sf.bridgeless,
-        max_degree=sf.max_degree,
-        cycle_rank=sf.cycle_rank,
-        is_tree=sf.is_tree,
-        is_unicyclic=sf.is_unicyclic,
+        **vars(g.structure_flags()),
         claw_free=structure.is_claw_free(g),
         bipartite=structure.is_bipartite(g),
         nearly_bipartite=structure.is_nearly_bipartite(g),
-        has_perfect_matching=has_pm,
+        has_perfect_matching=g.n % 2 == 0 and 2 * len(max_matching(g)) == g.n,
     )
 
 
@@ -41,15 +33,14 @@ def compute_profile(
 ) -> GraphProfile:
     """Exact profile with nu_k for every requested k."""
     flags = profile_flags(g)
-    solved = exact.solve_profile(g, ks, bridgeless=flags.bridgeless)
-    nu = {k: res.value for k, res in solved.items()}
+    nu = {k: res.value for k, res in exact.solve_profile(g, ks).items()}
     r3 = g.m - nu[3] if flags.cubic and 3 in nu else None
-    oG = None
-    if include_o and flags.cubic:
-        try:
-            oG = min_odd_two_factor(g)
-        except NoTwoFactor:
-            oG = None
+    # a cubic graph has a 2-factor exactly when it has a perfect matching
+    oG = (
+        min_odd_two_factor(g)
+        if include_o and flags.cubic and flags.has_perfect_matching
+        else None
+    )
     xk = (
         poly.cycle_deficiencies(g, range(1, max(nu, default=1) + 1))
         if flags.is_unicyclic
@@ -69,17 +60,21 @@ def profile_as_dict(p: GraphProfile) -> dict:
         out["oG"] = p.oG
     for k in sorted(p.xk):
         out[f"x{k}"] = p.xk[k]
-    out["flags"] = {
-        name: getattr(p.flags, name) for name in p.flags.__dataclass_fields__
-    }
+    out["flags"] = dict(vars(p.flags))
     return out
 
 
 def profile_from_dict(d: dict) -> GraphProfile:
-    """Inverse of profile_as_dict (accepts string-serialized integers)."""
+    """Inverse of profile_as_dict.  A number is an int or a decimal
+    integer string; anything else (a bool, a float, "2.7") raises
+    ValueError."""
 
     def num(x):
-        return int(x)
+        if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+            return int(x)
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x
+        raise ValueError(f"not an integer: {x!r}")
 
     nu = {
         int(key[2:]): num(val)

@@ -226,6 +226,8 @@ def test_decompose_command(tmp_path, capsys):
         ["verify", "--rules", "T2.2.1,T2.2.l"],
         ["solve", "--all-k", "1..3", "--certificate"],
         ["oracle", "--max-edges", "-1"],
+        ["solve", "--all-k", "1..1000"],
+        ["profile", "--all-k", "1..65"],
     ],
 )
 def test_bad_parameters_exit_1(tmp_path, capsys, argv):
@@ -234,6 +236,11 @@ def test_bad_parameters_exit_1(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(argv[0] + ": ")
+
+
+def test_all_k_takes_up_to_64_values():
+    assert cli._parse_all_k("1..64") == list(range(1, 65))
+    assert cli._parse_all_k("3..66") == list(range(3, 67))
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
@@ -299,11 +306,15 @@ def test_verify_profiles_reports_bad_json(tmp_path, capsys):
         + json.dumps(recs[0]) + "\n"
         + "[1, 2]\n"
         + json.dumps({"profile": cubic_without_nu2}) + "\n"
+        + '{"n": 1e999, "m": 3}\n'
+        + '{"n": 2.7, "m": 3, "nu2": true, "nu3": "3"}\n'
+        + json.dumps({**recs[0]["profile"], "nu2": True}) + "\n"
     )
     code, recs, _ = _run(capsys, ["verify", str(pfile), "--profiles"])
     assert code == cli.EXIT_OK
-    assert [r["line"] for r in recs] == ["1", "2", "3", "4"]
-    assert ["error" in r for r in recs] == [True, False, True, True]
+    assert [r["line"] for r in recs] == ["1", "2", "3", "4", "5", "6", "7"]
+    assert ["error" in r for r in recs] == [True, False, True, True, True, True, True]
+    assert all(r["error"].startswith("bad profile") for r in recs[4:])
 
 
 def test_profile_record_format_and_line(tmp_path, capsys):

@@ -153,6 +153,14 @@ def test_sparse6_large_n_header():
     assert h.n == 100 and h.edges == ((0, 99),)
 
 
+def test_sparse6_rejects_vertex_count_beyond_four_words():
+    """A few bytes may name any vertex count; one past the largest 4-word
+    count is refused before a vertex is allocated."""
+    assert gio.parse_sparse6(":" + gio._emit_n(62)).n == 62
+    with pytest.raises(MalformedSparse6):
+        gio.parse_sparse6(":" + gio._emit_n(gio.MAX_SPARSE6_N + 1))
+
+
 def test_serialize_rational():
     assert gio.serialize_rational(Fraction(7, 6)) == "7/6"
     assert gio.serialize_rational(Fraction(4, 2)) == "2"

@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +285,24 @@ def _capped_instances(draw):
     cap = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
     lower = draw(st.integers(0, g.m))
     return g, k, cap, lower, draw(st.integers(lower + 1, g.m + 1))
+
+
+@given(_capped_instances())
+@settings(max_examples=300, deadline=None)
+def test_solve_bb_bound_is_upper_bound(inst):
+    """The upper bound _solve_bb takes from its greedy peel's first pass
+    is the one upper_bound computes."""
+    g, k, cap, _, _ = inst
+    handed = []
+    search = exact._search
+
+    def spy(h, cap, k, lower, upper):
+        handed.append(upper)
+        return search(h, cap, k, lower, upper)
+
+    with mock.patch.object(exact, "_search", spy):
+        exact._solve_bb(g, cap, k)
+    assert handed == [exact.upper_bound(g, k, cap)]
 
 
 @given(_capped_instances())

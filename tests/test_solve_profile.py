@@ -26,6 +26,26 @@ def _pairing_cubic(n: int, rng: random.Random) -> MultiGraph:
             return MultiGraph(n, pairs)
 
 
+def _bridged_cubic(block: int, rng: random.Random) -> MultiGraph:
+    """Two random connected cubic blocks on block vertices each, one edge
+    removed from each and its ends joined to a new vertex, the two new
+    vertices joined by a bridge: a cubic graph on 2 * block + 2 vertices
+    with no 3-edge-colouring."""
+    edges = []
+    for side in (0, 1):
+        while True:
+            b = _pairing_cubic(block, rng)
+            if b.component_count() == 1:
+                break
+        base = side * (block + 1)
+        (u, v), rest = b.edges[0], b.edges[1:]
+        edges += [(base + x, base + y) for x, y in rest]
+        edges += [(base + u, base + block), (base + v, base + block)]
+    g = MultiGraph(2 * block + 2, edges + [(block, 2 * block + 1)])
+    assert g.is_cubic() and g.bridges()
+    return g
+
+
 def _theta() -> MultiGraph:
     return MultiGraph(2, [(0, 1)] * 3)
 
@@ -143,6 +163,7 @@ def test_solve_profile_is_nu_k_per_k(use_poly):
     graphs += [_disconnected_multigraph(rng) for _ in range(30)]
     graphs += [families.petersen(), families.triangle_replace(families.petersen())]
     graphs += [g for g in corpus.connected_cubic_graphs(10) if g.bridges()]  # class 2
+    graphs += [_bridged_cubic(block, rng) for block in (10, 10, 14, 14)]
     for g in graphs:
         got = exact.solve_profile(g, KS, use_poly=use_poly)
         assert got == {k: exact.nu_k(g, k, use_poly=use_poly) for k in KS}, g
