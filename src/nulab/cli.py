@@ -244,7 +244,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _report_dict(rep: rules.RuleReport) -> dict:
-    return {name: v for name, v in vars(rep).items() if v is not None}
+    return {name: v for name, v in rep._asdict().items() if v is not None}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -23,20 +23,21 @@ per decision, so the work per search node does not grow with the number
 of vertices.  The search recurses once per edge: one deeper than the
 recursion limit allows raises TooLarge.
 
-Before any search, each solve reduces the graph once, whatever k is:
-pendant edges are peeled one at a time (last in, first out), and the
-surviving 2-core is split into its connected parts, at most one per
-component of the graph.  Per k, the peeled edges are forced into an
-optimum in peeling order (each consuming a color slot at both ends),
-each part of cycle rank at most 1, which in a 2-core is a bare cycle,
-goes to the ring DP of poly.cycle_optimum (if use_poly is set) and every
-other part to branch and bound, and the forced edges are colored last,
-newest first (poly.color_pendants).
-Capacities below k thread through the whole pipeline.
+Before any search, the graph is reduced once, whatever k is
+(MultiGraph.core): pendant edges are peeled one at a time (last in,
+first out), the surviving 2-core is split into its connected parts, at
+most one per component of the graph, and each part of cycle rank at
+most 1, which in a 2-core is a bare cycle, is walked once.  Per k, the
+peeled edges are forced into an optimum in peeling order (each
+consuming a color slot at both ends), each bare cycle goes to the ring
+DP of poly.ring_optimum (if use_poly is set) and every other part to
+branch and bound, and the forced edges are colored last, newest first
+(poly.color_pendants).  Capacities below k thread through the whole
+pipeline.
 
 solve_profile answers several k at once: on a class-1 cubic graph one
-3-edge-colouring certifies every nu_k; otherwise it shares one
-reduction across its ks.
+3-edge-colouring certifies every nu_k; otherwise it solves its ks in
+ascending order as a ladder, each k bounded by the k - 1 below it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import poly
 from .errors import BadParameter, NotABridge, NotCubic, TooLarge
-from .graph import Component, MultiGraph
+from .graph import Core, MultiGraph
 from .matching import max_matching_ids
 
 
@@ -373,45 +374,25 @@ def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
 
 
 def _solve_bb(
-    h: MultiGraph, cap: Sequence[int], k: int
+    h: MultiGraph, cap: Sequence[int], k: int, upper: Optional[int] = None
 ) -> tuple[int, dict[int, int], int]:
     """Exact capped optimum on one residual component: one search that
-    starts from the greedy incumbent and stops at the upper bound."""
+    starts from the greedy incumbent and stops at the upper bound, or at
+    upper if that is given and smaller (it must bound the optimum)."""
     greedy = _greedy_peel(h, cap, k)
     # the peel's first pass, color 1, is a maximum matching of the edges
     # whose ends both have capacity: the one upper_bound takes
     matched = list(greedy.values()).count(1)
-    found, nodes = _search(h, cap, k, len(greedy), _bound(h, k, cap, matched))
+    bound = _bound(h, k, cap, matched)
+    if upper is not None:
+        bound = min(bound, upper)
+    found, nodes = _search(h, cap, k, len(greedy), bound)
     best = greedy if found is None else found
     return len(best), best, nodes
 
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def _reduce(g: MultiGraph) -> tuple[list[tuple[int, int, int]], list[Component]]:
-    """The part of a solve that does not depend on k: the peeled pendant
-    edges as (edge id, leaf, inner endpoint) in peeling order, and the
-    parts of the surviving 2-core, with vertices and edge ids in g.
-
-    The peel is last in, first out, so each component is peeled in the
-    order it would be on its own.  Peeling keeps a component connected,
-    so each component has at most one part."""
-    peeled, survivors = g.strip_pendants()
-    if not peeled:
-        return peeled, [p for p in g.split_components() if p.edge_ids]
-    if not survivors:
-        return peeled, []
-    # a peeled edge's leaf is outside the core, so the core's vertices
-    # induce exactly the surviving edges
-    verts = sorted({v for e in survivors for v in g.edges[e]})
-    return peeled, [
-        Component(
-            [verts[v] for v in p.vertices], [survivors[e] for e in p.edge_ids], p.graph
-        )
-        for p in g.induced(verts).split_components()
-    ]
 
 
 def _force(peeled: Sequence[tuple[int, int, int]], cap: list[int]) -> list[int]:
@@ -432,25 +413,38 @@ def _force(peeled: Sequence[tuple[int, int, int]], cap: list[int]) -> list[int]:
 
 def _solve_reduced(
     g: MultiGraph,
-    peeled: Sequence[tuple[int, int, int]],
-    parts: Sequence[Component],
+    core: Core,
     k: int,
     use_poly: bool,
+    upper: Optional[int] = None,
 ) -> NuResult:
-    """nu_k(g) from its reduction: force the peeled edges, solve each
-    2-core part within the capacities they leave, color the forced edges."""
+    """nu_k(g) from its core: force the peeled edges, solve each 2-core
+    part within the capacities they leave, color the forced edges.
+
+    The bare cycles are solved first and the searched parts after them.
+    If upper bounds nu_k(g), the searched part solved last stops at upper
+    less the forced edges and the other parts' values."""
     cap = [k] * g.n
-    forced = _force(peeled, cap)
+    forced = _force(core.peeled, cap)
     value = len(forced)
     assign: dict[int, int] = {}
+    searched = core.parts
+    if use_poly:
+        searched = []
+        for p, walk in zip(core.parts, core.cycles):
+            if walk is None:
+                searched.append(p)
+                continue
+            cycle, ring = walk
+            pvalue, colors = poly.ring_optimum(cycle, [cap[v] for v in ring], k)
+            value += pvalue
+            assign.update(colors)
     nodes = 0
-    for p in parts:
+    for i, p in enumerate(searched, 1):
+        room = upper - value if upper is not None and i == len(searched) else None
         pcap = [cap[v] for v in p.vertices]
-        if use_poly and p.cycle_rank <= 1:
-            pvalue, local = poly.cycle_optimum(p.graph, pcap, k)
-        else:
-            pvalue, local, pnodes = _solve_bb(p.graph, pcap, k)
-            nodes += pnodes
+        pvalue, local, pnodes = _solve_bb(p.graph, pcap, k, room)
+        nodes += pnodes
         value += pvalue
         assign.update({p.edge_ids[e]: c for e, c in local.items()})
     poly.color_pendants(g, forced, assign)
@@ -462,11 +456,14 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
     component needs a search deeper than the recursion limit allows."""
     if k < 1:
         raise BadParameter("k must be positive")
-    return _solve_reduced(g, *_reduce(g), k, use_poly)
+    return _solve_reduced(g, g.core(), k, use_poly)
 
 
 def solve_profile(
-    g: MultiGraph, ks: Iterable[int], use_poly: bool = True
+    g: MultiGraph,
+    ks: Iterable[int],
+    use_poly: bool = True,
+    core: Optional[Core] = None,
 ) -> dict[int, NuResult]:
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
@@ -475,9 +472,18 @@ def solve_profile(
     edge coloured; on a cubic graph with a bridge it fails, by the
     parity lemma).  If one exists, its colour classes 1..k certify every
     nu_k = min(k, 3) * n / 2, the capacity bound, and each result
-    carries the node count of that one search.  Otherwise, and on every
-    other graph, the ks share one reduction of g, and each result is the
-    one nu_k gives."""
+    carries the node count of that one search.
+
+    Otherwise, and on every other graph, the ks are solved in ascending
+    order from one core of g (core, if the caller has g.core()), as a
+    ladder.  Dropping the smallest color class of a k-coloring leaves a
+    (k - 1)-coloring, so nu_k <= U_k = floor(k * nu_{k-1} / (k - 1)).
+    Where k - 1 is in ks:
+    - if nu_{k-1} = m, its coloring is the result for k, with 0 nodes;
+    - otherwise k is solved as nu_k would, but with U_k as an upper
+      bound, which can only save search nodes.
+    Any other k gets exactly the result nu_k gives: values, node counts
+    and certificates."""
     ks = sorted(set(ks))
     if not ks:
         return {}
@@ -491,8 +497,17 @@ def solve_profile(
                 cert = ColorClasses(k, {e: c for e, c in full.items() if c <= k})
                 out[k] = NuResult(cert.colored_count, cert, nodes)
             return out
-    reduction = _reduce(g)
-    return {k: _solve_reduced(g, *reduction, k, use_poly) for k in ks}
+    if core is None:
+        core = g.core()
+    out = {}
+    for k in ks:
+        below = out.get(k - 1)
+        if below is not None and below.value == g.m:
+            out[k] = NuResult(g.m, ColorClasses(k, below.certificate.assignment), 0)
+        else:
+            upper = None if below is None else k * below.value // (k - 1)
+            out[k] = _solve_reduced(g, core, k, use_poly, upper)
+    return out
 
 
 def resistance_r3(g: MultiGraph) -> int:

@@ -202,6 +202,25 @@ def serialize_rational(x) -> str:
 
 
 def _jsonable(value):
+    """value with every int and Fraction, at any depth, as its exact string
+    and every mapping key as a string (see write_record)."""
+    kind = type(value)
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_jsonable(v) for v in value]
+    if kind is int:
+        return str(value)
+    if kind is str or kind is bool or value is None:
+        return value
+    if kind is Fraction:
+        return serialize_rational(value)
+    return _jsonable_any(value)
+
+
+def _jsonable_any(value):
+    """_jsonable for values of any other type: subclasses, other mappings
+    and sequences."""
     if isinstance(value, Fraction):
         return serialize_rational(value)
     if isinstance(value, bool) or value is None or isinstance(value, str):

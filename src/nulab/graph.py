@@ -8,7 +8,8 @@ first-class; loops are rejected at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, LoopRejected
 
@@ -36,6 +37,37 @@ class Component(NamedTuple):
     @property
     def cycle_rank(self) -> int:
         return len(self.edge_ids) - len(self.vertices) + 1
+
+
+@dataclass
+class Core:
+    """The pendant peel of a graph and what survives it: the part of a
+    solve that does not depend on k (see MultiGraph.core).
+
+    peeled holds the pendant edges as (edge id, leaf, inner endpoint) in
+    peeling order (see strip_pendants), and parts the connected parts of
+    the surviving 2-core, with vertices and edge ids in the graph.
+    component_count is the graph's."""
+
+    graph: MultiGraph
+    peeled: list[tuple[int, int, int]]
+    parts: list[Component]
+    component_count: int
+
+    @cached_property
+    def cycles(self) -> list[Optional[tuple[tuple[int, ...], list[int]]]]:
+        """For each part that is a bare cycle (cycle rank 1), its walk as
+        (cycle edge ids, ring vertices) in the graph's ids (see
+        walk_cycles and ring), and None for every other part: one walk,
+        on first use."""
+        cycles: list = [None] * len(self.parts)
+        bare = [i for i, p in enumerate(self.parts) if p.cycle_rank <= 1]
+        if bare:
+            g = self.graph
+            walks = g.walk_cycles([e for i in bare for e in self.parts[i].edge_ids])
+            for i, cycle in zip(bare, walks):
+                cycles[i] = (cycle, g.ring(cycle))
+        return cycles
 
 
 class MultiGraph:
@@ -230,8 +262,10 @@ class MultiGraph:
                             result.add(in_edge)
         return result
 
-    def structure_flags(self) -> StructureFlags:
-        count = self.component_count()
+    def structure_flags(self, component_count: Optional[int] = None) -> StructureFlags:
+        """The graph's class flags.  A component count the caller already
+        has (Core.component_count) spares a traversal."""
+        count = self.component_count() if component_count is None else component_count
         connected = count <= 1
         rank = self.m - self.n + count
         return StructureFlags(
@@ -306,6 +340,47 @@ class MultiGraph:
                 eid = e2 if e1 == eid else e1
             cycles.append(tuple(cycle))
         return cycles
+
+    def ring(self, cycle: Sequence[int]) -> list[int]:
+        """The vertices of a cycle from walk_cycles, in walking order:
+        ring[i] lies between cycle edges i - 1 and i."""
+        ring = []
+        v = self.edges[cycle[0]][0]
+        for eid in cycle:
+            ring.append(v)
+            a, b = self.edges[eid]
+            v = b if v == a else a
+        return ring
+
+    def core(self) -> Core:
+        """The pendant peel and the parts of the 2-core (see Core), from
+        one peel and one traversal of the 2-core's components.
+
+        The peel is last in, first out, so each component is peeled in
+        the order it would be on its own.  Peeling keeps a component
+        connected, so each component has at most one part: its vertices
+        that keep an edge."""
+        peeled, survivors = self.strip_pendants()
+        if not peeled:
+            split = self.split_components()
+            parts = [p for p in split if p.edge_ids]
+            count = len(split)
+        else:
+            # a peeled edge's leaf is outside the core, so the core's
+            # vertices induce exactly the surviving edges; each tree
+            # component is peeled down to one vertex, so the components
+            # are the parts and the vertices neither peeled nor in the core
+            verts = sorted({v for e in survivors for v in self.edges[e]})
+            parts = [
+                Component(
+                    [verts[v] for v in p.vertices],
+                    [survivors[e] for e in p.edge_ids],
+                    p.graph,
+                )
+                for p in (self.induced(verts).split_components() if verts else ())
+            ]
+            count = len(parts) + self.n - len(verts) - len(peeled)
+        return Core(self, peeled, parts, count)
 
     # -- derived graphs ------------------------------------------------
 

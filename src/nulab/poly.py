@@ -8,11 +8,12 @@ by leaving out a best cycle edge, found in linear time by a DP around
 the cycle.
 
 A part of a 2-core with one cycle is a bare cycle, every vertex of
-degree 2.  The exact solver hands such parts to cycle_optimum, one DP
-around the ring (_ring_take) with its own coloring, and not to the tree
-DP, which stays as the independent route the tests compare against.
-The cycle deficiency x_k comes from the same ring DP: the cycle edges
-removed are those it leaves out.  The tree DP's chosen subgraphs are
+degree 2.  The exact solver hands such parts, walked once in the
+graph's core (MultiGraph.core), to ring_optimum, one DP around the ring
+(_ring_take) with its own coloring, and not to the tree DP, which stays
+as the independent route the tests compare against.  The cycle
+deficiency x_k comes from the same ring DP on the same walk: the cycle
+edges removed are those it leaves out.  The tree DP's chosen subgraphs are
 colored as the solver colors: whole cycles (_whole_cycle) and then
 pendant edges newest first (color_pendants).
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameter, DeficiencyUndefined, NotAForest, NotUnicyclic
-from .graph import MultiGraph
+from .graph import Core, MultiGraph
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,6 @@ def _forest_dp(
     return len(chosen), chosen
 
 
-def _ring(g: MultiGraph, cycle: Sequence[int]) -> list[int]:
-    """The vertices of a cycle from walk_cycles, in walking order:
-    ring[i] lies between cycle edges i - 1 and i."""
-    ring = []
-    v = g.edges[cycle[0]][0]
-    for eid in cycle:
-        ring.append(v)
-        a, b = g.edges[eid]
-        v = b if v == a else a
-    return ring
-
-
 def best_degree_bounded(
     g: MultiGraph, k: int, cap: Optional[Sequence[int]] = None
 ) -> DegreeBoundedOptimum:
@@ -195,7 +184,7 @@ def _odd_cycle_optimum(
     their cycle vertices, then for each state of the last cycle edge one
     DP forward and one backward around the cycle."""
     (cycle,) = h.walk_cycles(cyc)
-    ring = _ring(h, cycle)
+    ring = h.ring(cycle)
     all_edges = set(range(h.m))
     _, _, table = _subtree_gains(h, all_edges - set(cycle), cap, ring)
     # a total of at() values and cycle edges is at most m, so one that
@@ -243,15 +232,22 @@ def cycle_optimum(
     """Maximum k-edge-colorable subgraph within the caps (each <= k) of a
     bare cycle, a connected graph whose every vertex has degree 2 (a
     parallel pair is a 2-cycle), and a proper coloring of it with colors
-    1..k, in linear time: (size, edge id -> color).
+    1..k, in linear time: (size, edge id -> color)."""
+    (cycle,) = h.walk_cycles(range(h.m))
+    return ring_optimum(cycle, [cap[v] for v in h.ring(cycle)], k)
+
+
+def ring_optimum(
+    cycle: Sequence[int], caps: Sequence[int], k: int
+) -> tuple[int, dict[int, int]]:
+    """cycle_optimum on a walked cycle: its edge ids in walking order and
+    the cap of each ring vertex (caps[i] between edges i - 1 and i).
 
     With every cap at least 2, every edge is taken, except one on an odd
     cycle at k = 2.  Otherwise the chosen edges form paths, found by one
     DP around the ring (_ring_take), and each path is colored 1, 2, 1,
     2, ... from its first edge."""
-    (cycle,) = h.walk_cycles(range(h.m))
     l = len(cycle)
-    caps = [cap[v] for v in _ring(h, cycle)]
     if min(caps) >= 2:
         if k != 2 or l % 2 == 0:
             return l, _whole_cycle(cycle)  # an odd one has k >= 3
@@ -333,16 +329,18 @@ def cycle_deficiency(g: MultiGraph, k: int) -> CycleDeficiency:
     return CycleDeficiency(k, x[k])
 
 
-def cycle_deficiencies(g: MultiGraph, ks: Iterable[int]) -> dict[int, int]:
+def cycle_deficiencies(
+    g: MultiGraph, ks: Iterable[int], core: Optional[Core] = None
+) -> dict[int, int]:
     """x_k (see cycle_deficiency) for every k in ks where it is defined,
-    from one pendant strip, one walk of the cycle and one _ring_take per
-    k; a k where a vertex keeps more than k edges with every cycle edge
-    removed is left out."""
-    if not _connected_unicyclic(g):
+    from the walk of the cycle in g's core (core, if the caller has
+    g.core()) and one _ring_take per k; a k where a vertex keeps more
+    than k edges with every cycle edge removed is left out."""
+    if core is None:
+        core = g.core()
+    if not (g.n > 0 and g.m == g.n and core.component_count == 1):
         raise NotUnicyclic("graph is not connected with cycle rank 1")
-    _, cyc_edges = g.strip_pendants()
-    (cycle,) = g.walk_cycles(cyc_edges)
-    ring = _ring(g, cycle)
+    ((cycle, ring),) = core.cycles
     deg = g.degrees()
     left = list(deg)  # degrees once every cycle edge is removed
     for v in ring:

@@ -8,20 +8,24 @@ profile.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import exact, poly, structure
-from .graph import MultiGraph
+from .graph import Core, MultiGraph
 from .matching import max_matching, min_odd_two_factor
 from .rules import GraphProfile, ProfileFlags
 
 
-def profile_flags(g: MultiGraph) -> ProfileFlags:
+def profile_flags(g: MultiGraph, core: Optional[Core] = None) -> ProfileFlags:
+    """g's class flags; core, if the caller has g.core(), spares counting
+    g's components again."""
+    bipartite, nearly_bipartite = structure.bipartiteness(g)
+    count = None if core is None else core.component_count
     return ProfileFlags(
-        **vars(g.structure_flags()),
+        **vars(g.structure_flags(count)),
         claw_free=structure.is_claw_free(g),
-        bipartite=structure.is_bipartite(g),
-        nearly_bipartite=structure.is_nearly_bipartite(g),
+        bipartite=bipartite,
+        nearly_bipartite=nearly_bipartite,
         has_perfect_matching=g.n % 2 == 0 and 2 * len(max_matching(g)) == g.n,
     )
 
@@ -31,9 +35,11 @@ def compute_profile(
     ks: Iterable[int] = (1, 2, 3, 4),
     include_o: bool = True,
 ) -> GraphProfile:
-    """Exact profile with nu_k for every requested k."""
-    flags = profile_flags(g)
-    nu = {k: res.value for k, res in exact.solve_profile(g, ks).items()}
+    """Exact profile with nu_k for every requested k.  The flags, the
+    solve and x_k read one core of g (MultiGraph.core)."""
+    core = g.core()
+    flags = profile_flags(g, core)
+    nu = {k: res.value for k, res in exact.solve_profile(g, ks, core=core).items()}
     r3 = g.m - nu[3] if flags.cubic and 3 in nu else None
     # a cubic graph has a 2-factor exactly when it has a perfect matching
     oG = (
@@ -42,7 +48,7 @@ def compute_profile(
         else None
     )
     xk = (
-        poly.cycle_deficiencies(g, range(1, max(nu, default=1) + 1))
+        poly.cycle_deficiencies(g, range(1, max(nu, default=1) + 1), core)
         if flags.is_unicyclic
         else {}
     )
@@ -67,7 +73,8 @@ def profile_as_dict(p: GraphProfile) -> dict:
 def profile_from_dict(d: dict) -> GraphProfile:
     """Inverse of profile_as_dict.  A number is an int or a decimal
     integer string; anything else (a bool, a float, "2.7") raises
-    ValueError."""
+    ValueError.  A flag is a JSON boolean, missing means false; anything
+    else ("false", 0, null) raises ValueError."""
 
     def num(x):
         if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
@@ -75,6 +82,11 @@ def profile_from_dict(d: dict) -> GraphProfile:
         if isinstance(x, int) and not isinstance(x, bool):
             return x
         raise ValueError(f"not an integer: {x!r}")
+
+    def flag(x):
+        if isinstance(x, bool):
+            return x
+        raise ValueError(f"not a boolean: {x!r}")
 
     nu = {
         int(key[2:]): num(val)
@@ -90,7 +102,7 @@ def profile_from_dict(d: dict) -> GraphProfile:
     flags = ProfileFlags(
         **{
             name: (
-                bool(raw_flags.get(name, False))
+                flag(raw_flags.get(name, False))
                 if name != "max_degree" and name != "cycle_rank"
                 else num(raw_flags.get(name, 0))
             )

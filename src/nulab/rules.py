@@ -1,9 +1,10 @@
 """The inequality registry: every bound as an executable rule.
 
-Rules evaluate a GraphProfile in exact rational arithmetic.  Each rule
-carries a stable id, a kind (theorem / proposition / lemma-bound /
-conjecture / external-cited), a conjunctive applicability guard over the
-profile's structure flags, and a relation between two rational sides.
+Rules evaluate a GraphProfile in exact arithmetic.  Each rule carries a
+stable id, a kind (theorem / proposition / lemma-bound / conjecture /
+external-cited), a conjunctive applicability guard over the profile's
+structure flags, and a relation between two exact sides: ints, except
+the alpha rules' right sides, which are Fractions.
 "Tight" means exact equality (for floor/ceiling forms, equality of the
 rounded expression).  Rules never run solvers themselves; they only
 read the profile.
@@ -11,12 +12,11 @@ read the profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BadParameter, MissingProfileField, NuLabError
 from .graph import MultiGraph
@@ -58,15 +58,17 @@ class GraphProfile:
         return self.r3
 
 
-@dataclass(frozen=True)
-class RuleReport:
+Side = Union[int, Fraction]
+
+
+class RuleReport(NamedTuple):
     rule_id: str
     kind: str
     applicable: bool
     holds: Optional[bool] = None
     tight: Optional[bool] = None
-    lhs: Optional[Fraction] = None
-    rhs: Optional[Fraction] = None
+    lhs: Optional[Side] = None
+    rhs: Optional[Side] = None
     k: Optional[int] = None
     note: Optional[str] = None
 
@@ -82,16 +84,11 @@ class Rule:
     @cached_property
     def _not_applicable(self) -> RuleReport:
         """The report for a profile outside the guard: one per rule, shared,
-        since reports are frozen."""
-        return RuleReport(self.rule_id, self.kind, applicable=False, note=self.note)
-
-    def evaluate(self, profile: GraphProfile) -> list[RuleReport]:
-        if not self.guard(profile):
-            return [self._not_applicable]
-        return self.body(profile)
+        since reports are immutable."""
+        return RuleReport(self.rule_id, self.kind, False, note=self.note)
 
 
-def _cmp(op: str, lhs: Fraction, rhs: Fraction) -> tuple[bool, bool]:
+def _cmp(op: str, lhs: Side, rhs: Side) -> tuple[bool, bool]:
     """(holds, tight) for the relation lhs op rhs."""
     if op == "ge":
         return lhs >= rhs, lhs == rhs
@@ -111,17 +108,15 @@ def _simple(
     kind: str,
     guard: Callable[[GraphProfile], bool],
     op: str,
-    lhs_fn: Callable[[GraphProfile], Fraction],
-    rhs_fn: Callable[[GraphProfile], Fraction],
+    lhs_fn: Callable[[GraphProfile], Side],
+    rhs_fn: Callable[[GraphProfile], Side],
     note: Optional[str] = None,
 ) -> Rule:
     def body(p: GraphProfile) -> list[RuleReport]:
         lhs = lhs_fn(p)
         rhs = rhs_fn(p)
         holds, tight = _cmp(op, lhs, rhs)
-        return [
-            RuleReport(rule_id, kind, True, holds, tight, lhs, rhs, note=note)
-        ]
+        return [RuleReport(rule_id, kind, True, holds, tight, lhs, rhs, None, note)]
 
     return Rule(rule_id, kind, guard, body, note)
 
@@ -146,15 +141,14 @@ def _per_k(
             raise MissingProfileField(f"nu[k-1..k+1] for {rule_id}")
         for k in ks:
             s = p.nu[k - 1] + p.nu[k + 1]
-            lhs = Fraction(2 * p.nu[k])
+            lhs = 2 * p.nu[k]
             if form == "floor":
-                rhs = Fraction(s - 1)
-                holds = 2 * p.nu[k] >= s - 1
+                rhs = s - 1
                 tight = p.nu[k] == s // 2
             else:
-                rhs = Fraction(s)
-                holds = 2 * p.nu[k] >= s
-                tight = 2 * p.nu[k] == s
+                rhs = s
+                tight = lhs == s
+            holds = lhs >= rhs
             out.append(RuleReport(rule_id, kind, True, holds, tight, lhs, rhs, k, note))
         return out
 
@@ -174,8 +168,8 @@ def _xk_rule() -> Rule:
         for k in sorted(p.xk):
             if k - 1 not in p.xk:
                 continue
-            lhs = Fraction(p.xk[k])
-            rhs = Fraction(math.ceil(Fraction(p.xk[k - 1], 2)))
+            lhs = p.xk[k]
+            rhs = -(-p.xk[k - 1] // 2)
             holds = lhs <= rhs
             out.append(
                 RuleReport(rule_id, kind, True, holds, lhs == rhs, lhs, rhs, k)
@@ -212,41 +206,45 @@ def _alpha_rule(rule_id: str, kind: str, guard, num: int, den: int, note=None) -
         kind,
         guard,
         "ge",
-        lambda p: Fraction(p.nu_at(2)),
-        lambda p: Fraction(num, den) * Fraction(p.n + 2 * p.nu_at(3), 4),
+        lambda p: p.nu_at(2),
+        lambda p: Fraction(num * (p.n + 2 * p.nu_at(3)), 4 * den),
         note,
     )
 
 
 REGISTRY: tuple[Rule, ...] = (
+    # exact.solve_profile bounds nu_3 by floor(3 * nu_2 / 2) (its ladder),
+    # so the profiles it makes satisfy P2.1 by construction; the
+    # independent check of the ladder is nu_k solved alone (the
+    # benchmark's branch-and-bound phase, the tests)
     _simple(
         "P2.1",
         "proposition",
         lambda p: True,
         "ge",
-        lambda p: Fraction(3 * p.nu_at(2)),
-        lambda p: Fraction(2 * p.nu_at(3)),
+        lambda p: 3 * p.nu_at(2),
+        lambda p: 2 * p.nu_at(3),
     ),
     _simple(
         "T2.2.1", "theorem", _cubic, "ge",
-        lambda p: Fraction(5 * p.nu_at(2)), lambda p: Fraction(4 * p.n),
+        lambda p: 5 * p.nu_at(2), lambda p: 4 * p.n,
     ),
     _simple(
         "T2.2.2", "theorem", _cubic, "ge",
-        lambda p: Fraction(6 * p.nu_at(3)), lambda p: Fraction(7 * p.n),
+        lambda p: 6 * p.nu_at(3), lambda p: 7 * p.n,
     ),
     _simple(
         "T2.2.3", "theorem", _cubic, "ge",
-        lambda p: Fraction(p.nu_at(2) + p.nu_at(3)), lambda p: Fraction(2 * p.n),
+        lambda p: p.nu_at(2) + p.nu_at(3), lambda p: 2 * p.n,
     ),
     _simple(
         "T2.2.4", "theorem", _cubic, "le",
-        lambda p: Fraction(4 * p.nu_at(2)), lambda p: Fraction(p.n + 2 * p.nu_at(3)),
+        lambda p: 4 * p.nu_at(2), lambda p: p.n + 2 * p.nu_at(3),
     ),
     _alpha_rule("T16/17", "theorem", _cubic, 16, 17),
     _simple(
         "L5/6", "lemma-bound", _cubic_pm, "ge",
-        lambda p: Fraction(6 * p.nu_at(2)), lambda p: Fraction(5 * p.n),
+        lambda p: 6 * p.nu_at(2), lambda p: 5 * p.n,
     ),
     _alpha_rule("T20/21", "theorem", _cubic_pm, 20, 21),
     _simple(
@@ -254,20 +252,20 @@ REGISTRY: tuple[Rule, ...] = (
         "proposition",
         lambda p: _bridgeless_cubic(p) and p.r3_value() <= 2,
         "eq",
-        lambda p: Fraction(4 * p.nu_at(2)),
-        lambda p: Fraction(p.n + 2 * p.nu_at(3)),
+        lambda p: 4 * p.nu_at(2),
+        lambda p: p.n + 2 * p.nu_at(3),
     ),
     _simple(
         "P2.6.2",
         "proposition",
         lambda p: _bridgeless_cubic(p) and p.r3_value() % 2 == 1,
         "lt",
-        lambda p: Fraction(4 * p.nu_at(2)),
-        lambda p: Fraction(p.n + 2 * p.nu_at(3)),
+        lambda p: 4 * p.nu_at(2),
+        lambda p: p.n + 2 * p.nu_at(3),
     ),
     _simple(
         "NO-R1", "proposition", _bridgeless_cubic, "ne",
-        lambda p: Fraction(p.r3_value()), lambda p: Fraction(1),
+        lambda p: p.r3_value(), lambda p: 1,
     ),
     _alpha_rule("T44/45", "theorem", _bridgeless_cubic, 44, 45),
     _alpha_rule("C52/53", "conjecture", _bridgeless_cubic, 52, 53),
@@ -276,8 +274,8 @@ REGISTRY: tuple[Rule, ...] = (
         "external-cited",
         lambda p: _bridgeless_cubic(p) and p.n >= 12,
         "ge",
-        lambda p: Fraction(12 * p.nu_at(2)),
-        lambda p: Fraction(11 * p.n),
+        lambda p: 12 * p.nu_at(2),
+        lambda p: 11 * p.n,
         note="external-cited: a violation signals corpus/solver inconsistency",
     ),
     _simple(
@@ -285,25 +283,25 @@ REGISTRY: tuple[Rule, ...] = (
         "theorem",
         lambda p: p.flags.cubic and p.flags.claw_free,
         "ge",
-        lambda p: Fraction(6 * p.nu_at(2)),
-        lambda p: Fraction(5 * p.n),
+        lambda p: 6 * p.nu_at(2),
+        lambda p: 5 * p.n,
     ),
     _simple(
         "T29/30", "theorem", _cf_bridgeless_cubic, "ge",
-        lambda p: Fraction(30 * p.nu_at(2)), lambda p: Fraction(29 * p.n),
+        lambda p: 30 * p.nu_at(2), lambda p: 29 * p.n,
         note="no-published-proof",
     ),
     _simple(
         "T43/45", "theorem", _cf_bridgeless_cubic, "ge",
-        lambda p: Fraction(45 * p.nu_at(3)), lambda p: Fraction(43 * p.m),
+        lambda p: 45 * p.nu_at(3), lambda p: 43 * p.m,
     ),
     _simple(
         "L-n/8",
         "external-cited",
         lambda p: _bridgeless_cubic(p) and p.n >= 16,
         "le",
-        lambda p: Fraction(8 * p.r3_value()),
-        lambda p: Fraction(p.n),
+        lambda p: 8 * p.r3_value(),
+        lambda p: p.n,
         note="external-cited: a violation signals corpus/solver inconsistency",
     ),
     _simple(
@@ -311,16 +309,16 @@ REGISTRY: tuple[Rule, ...] = (
         "lemma-bound",
         lambda p: _cf_bridgeless_cubic(p) and p.n >= 48,
         "le",
-        lambda p: Fraction(24 * p.r3_value()),
-        lambda p: Fraction(p.n),
+        lambda p: 24 * p.r3_value(),
+        lambda p: p.n,
     ),
     _simple(
         "T35/36",
         "theorem",
         lambda p: _cf_bridgeless_cubic(p) and p.n >= 48,
         "ge",
-        lambda p: Fraction(36 * p.nu_at(2)),
-        lambda p: Fraction(35 * p.n),
+        lambda p: 36 * p.nu_at(2),
+        lambda p: 35 * p.n,
     ),
     _alpha_rule(
         "T140/141",
@@ -349,8 +347,8 @@ REGISTRY: tuple[Rule, ...] = (
         and p.flags.has_perfect_matching
         and p.flags.max_degree == 3,
         "ge",
-        lambda p: Fraction(4 * p.nu_at(2)),
-        lambda p: Fraction(3 * p.n - 2),
+        lambda p: 4 * p.nu_at(2),
+        lambda p: 3 * p.n - 2,
     ),
     _xk_rule(),
     # Cross-route checks of branch and bound (r3) against 2-factor
@@ -360,16 +358,16 @@ REGISTRY: tuple[Rule, ...] = (
     # even number of odd cycles.
     _simple(
         "R3-LE-OG", "theorem", _cubic_with_o, "le",
-        lambda p: Fraction(p.r3_value()), lambda p: Fraction(p.oG),
+        lambda p: p.r3_value(), lambda p: p.oG,
     ),
     _simple(
         "R3-0-IFF-OG-0", "theorem", _cubic_with_o, "eq",
-        lambda p: Fraction(int(p.r3_value() == 0)),
-        lambda p: Fraction(int(p.oG == 0)),
+        lambda p: int(p.r3_value() == 0),
+        lambda p: int(p.oG == 0),
     ),
     _simple(
         "OG-EVEN", "theorem", _cubic_with_o, "eq",
-        lambda p: Fraction(p.oG % 2), lambda p: Fraction(0),
+        lambda p: p.oG % 2, lambda p: 0,
     ),
 )
 
@@ -406,7 +404,10 @@ def evaluate_all(
     for rule in REGISTRY:
         if wanted is not None and rule.rule_id not in wanted:
             continue
-        out.extend(rule.evaluate(profile))
+        if rule.guard(profile):
+            out += rule.body(profile)
+        else:
+            out.append(rule._not_applicable)
     return out
 
 

@@ -46,10 +46,9 @@ class OumDecomposition:
 
 def is_claw_free(g: MultiGraph) -> bool:
     """No vertex has three pairwise non-adjacent neighbors."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    for v in range(g.n):
-        ns = sorted(adj[v])
-        for a, b, c in combinations(ns, 3):
+    adj = [{w for _, w in inc} for inc in g.incidence()]
+    for ns in adj:
+        for a, b, c in combinations(sorted(ns), 3):
             if b not in adj[a] and c not in adj[a] and c not in adj[b]:
                 return False
     return True
@@ -60,14 +59,19 @@ def is_bipartite(g: MultiGraph) -> bool:
 
 
 def is_nearly_bipartite(g: MultiGraph) -> bool:
-    """Some single vertex deletion leaves a bipartite graph.  Such a
-    vertex lies on every odd cycle, so only the vertices of one odd
-    cycle are tried."""
+    """Some single vertex deletion leaves a bipartite graph."""
+    return bipartiteness(g)[1]
+
+
+def bipartiteness(g: MultiGraph) -> tuple[bool, bool]:
+    """(is_bipartite(g), is_nearly_bipartite(g)) from one odd cycle.  A
+    vertex whose deletion leaves a bipartite graph lies on every odd
+    cycle, so only the vertices of that one are tried."""
     adj = g.incidence()
     cycle = _odd_cycle(adj)
     if cycle is None:
-        return g.n > 0
-    return any(_odd_cycle(adj, skip=v) is None for v in cycle)
+        return True, g.n > 0
+    return False, any(_odd_cycle(adj, skip=v) is None for v in cycle)
 
 
 def _odd_cycle(

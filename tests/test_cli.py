@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +302,7 @@ def test_verify_profiles_reports_bad_json(tmp_path, capsys):
     _, recs, _ = _run(capsys, ["profile", path])
     pfile = tmp_path / "profiles.jsonl"
     cubic_without_nu2 = {k: v for k, v in recs[0]["profile"].items() if k != "nu2"}
+    flags = recs[0]["profile"]["flags"]
     pfile.write_text(
         "{not json\n"
         + json.dumps(recs[0]) + "\n"
@@ -309,12 +311,33 @@ def test_verify_profiles_reports_bad_json(tmp_path, capsys):
         + '{"n": 1e999, "m": 3}\n'
         + '{"n": 2.7, "m": 3, "nu2": true, "nu3": "3"}\n'
         + json.dumps({**recs[0]["profile"], "nu2": True}) + "\n"
+        # string flags are not booleans: read as true, they would make
+        # this a bridgeless cubic profile that fails theorem rules
+        + json.dumps(
+            {
+                **recs[0]["profile"],
+                "nu2": 3,
+                "flags": {**flags, "cubic": "false", "bridgeless": "no"},
+            }
+        )
+        + "\n"
     )
     code, recs, _ = _run(capsys, ["verify", str(pfile), "--profiles"])
     assert code == cli.EXIT_OK
-    assert [r["line"] for r in recs] == ["1", "2", "3", "4", "5", "6", "7"]
-    assert ["error" in r for r in recs] == [True, False, True, True, True, True, True]
+    assert [r["line"] for r in recs] == ["1", "2", "3", "4", "5", "6", "7", "8"]
+    assert ["error" in r for r in recs] == [True, False] + [True] * 6
     assert all(r["error"].startswith("bad profile") for r in recs[4:])
+
+
+def test_verify_records_are_pinned(tmp_path, capsys):
+    """verify's records for K4, a tree with a perfect matching and a
+    unicyclic graph, byte for byte: int sides and the alpha rules'
+    fractions as exact strings, None fields left out."""
+    path = tmp_path / "g.s6"
+    path.write_text(":CcKI\n:EaXmn\n:Fa@axv\n")
+    assert cli.main(["verify", "--all-k", "1..5", str(path)]) == cli.EXIT_OK
+    want = Path(__file__).parent / "data" / "verify_k4_tree_unicyclic.jsonl"
+    assert capsys.readouterr().out == want.read_text()
 
 
 def test_profile_record_format_and_line(tmp_path, capsys):
