@@ -127,11 +127,19 @@ _FAMILIES: dict[str, tuple[tuple[str, ...], Callable]] = {
 }
 
 
+# the gen parameters that have a default where a family takes them
+_GEN_DEFAULTS = {"count": 10, "max_n": 10, "seed": 0}
+
+
 def _gen_graphs(args: argparse.Namespace) -> list[MultiGraph]:
     if args.family not in _FAMILIES:
         raise UnknownFamily(args.family)
     params, build = _FAMILIES[args.family]
-    values = [getattr(args, p) for p in params]
+    given = {p: getattr(args, p) for p in ("k", "l", "r", *_GEN_DEFAULTS)}
+    for p, value in given.items():
+        if p not in params and value is not None:
+            raise BadParameter(f"{args.family} does not take --{p.replace('_', '-')}")
+    values = [_GEN_DEFAULTS.get(p) if given[p] is None else given[p] for p in params]
     if None in values:
         flags = " and ".join(f"--{p}" for p in params)
         raise BadParameter(f"{args.family} requires {flags}")
@@ -196,14 +204,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k) if args.all_k else None
     if ks and args.certificate:
         raise BadParameter("--certificate needs a single --k, not --all-k")
-    if not ks and args.k < 1:
-        raise BadParameter(f"--k must be >= 1, got {args.k}")
+    if ks and args.k is not None:
+        raise BadParameter("--k and --all-k exclude each other")
+    one_k = 3 if args.k is None else args.k
+    if not ks and one_k < 1:
+        raise BadParameter(f"--k must be >= 1, got {one_k}")
 
     def solve(g: MultiGraph, _: str) -> dict:
         if ks:
             return {f"nu{k}": r.value for k, r in exact.solve_profile(g, ks).items()}
-        res = exact.nu_k(g, args.k)
-        rec = {"k": args.k, "nu": res.value}
+        res = exact.nu_k(g, one_k)
+        rec = {"k": one_k, "nu": res.value}
         if args.certificate:
             rec["certificate"] = {
                 str(e): c for e, c in sorted(res.certificate.assignment.items())
@@ -249,7 +260,9 @@ def _report_dict(rep: rules.RuleReport) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rule_ids = rules.check_rule_ids(args.rules.split(",")) if args.rules else None
-    ks = _parse_all_k(args.all_k)
+    if args.profiles and args.all_k is not None:
+        raise BadParameter("--profiles reads profiles; it does not take --all-k")
+    ks = _parse_all_k(args.all_k or "1..4")
     worst = EXIT_OK
     with _open_input(args.input) as stream:
         items = (
@@ -352,15 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, help="default 10")
+    p.add_argument("--max-n", type=int, help="default 10")
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="exact nu_k per input graph")
     p.add_argument("input", nargs="?")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, help="default 3")
     p.add_argument("--all-k", default=None, help="range like 1..4")
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(func=_cmd_solve)
@@ -373,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="evaluate the rule registry")
     p.add_argument("input", nargs="?")
     p.add_argument("--rules", default=None, help="comma-separated rule ids")
-    p.add_argument("--all-k", default="1..4")
+    p.add_argument("--all-k", help="default 1..4; not with --profiles")
     p.add_argument(
         "--profiles",
         action="store_true",

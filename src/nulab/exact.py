@@ -10,9 +10,10 @@ incumbent may leave uncolored.
 The search processes edges in a fixed order, taken from a greedy
 vertex layout that keeps the memo's frontier narrow (_static_order),
 breaks color symmetry (a new color must be exactly one more than the
-maximum used so far), canonicalizes parallel twins (colored twins form
-an id-prefix of their group), prunes on a per-vertex capacity bound,
-and memoizes frontier states that cannot
+maximum used so far), canonicalizes parallel twins (the order puts
+them next to each other in id order, and a twin is colored only after
+the one before it, so colored twins form an id-prefix), prunes on a
+per-vertex capacity bound, and memoizes frontier states that cannot
 beat the incumbent, so that structurally repeated subproblems are
 refuted once.  A memo key is one int: the position, the skips so far
 and a code of the frontier's color masks that is the same for masks
@@ -43,7 +44,6 @@ ascending order as a ladder, each k bounded by the k - 1 below it.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -90,8 +90,8 @@ class NuResult:
 def _static_order(h: MultiGraph) -> list[int]:
     """Processing order from a greedy vertex layout that keeps the memo
     frontier narrow: each placed vertex brings its edges to earlier
-    vertices, in the order those were placed, so edge ids only order
-    parallel edges.
+    vertices, in the order those were placed, so parallel edges sit next
+    to each other and edge ids only order them.
 
     The next vertex is the candidate (an unplaced neighbour of the
     placed set) c with the least (c joins the frontier) - lonely[c],
@@ -213,15 +213,9 @@ def _search(
         raise TooLarge(f"a search over {m} edges exceeds the recursion limit")
     order = _static_order(h)
     ends = [h.edges[e] for e in order]
-
-    # parallel-twin groups: colored twins must be an id-prefix
-    mult = Counter(h.edges)
-    groups: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        if mult[e] > 1:
-            groups.setdefault(e, len(groups))
-    gids = [groups.get(e) for e in ends]
-    group_skips = [0] * len(groups)
+    # twin[i]: the edge at i is parallel to the one before it, which it
+    # may follow into a coloring only if that one is colored
+    twin = [i > 0 and ends[i - 1] == e for i, e in enumerate(ends)]
 
     # frontier[i]: the vertices with edges both before and from position
     # i, in order of first appearance
@@ -297,7 +291,6 @@ def _search(
         if key in failed:
             return False
         u, v = ends[i]
-        gid = gids[i]
         skip_slack = (
             slack - (rem[u] <= cap[u] - ndeg[u]) - (rem[v] <= cap[v] - ndeg[v])
         )
@@ -306,7 +299,7 @@ def _search(
         if (
             ndeg[u] < cap[u]
             and ndeg[v] < cap[v]
-            and (gid is None or group_skips[gid] == 0)
+            and not (twin[i] and order[i - 1] not in assign)
         ):
             taken = used[u] | used[v]
             eid = order[i]
@@ -326,13 +319,8 @@ def _search(
                 used[v] &= ~bit
                 ndeg[u] -= 1
                 ndeg[v] -= 1
-        if skips < budget:
-            if gid is not None:
-                group_skips[gid] += 1
-            if rec(i + 1, colored, skips + 1, maxc, skip_slack):
-                return True
-            if gid is not None:
-                group_skips[gid] -= 1
+        if skips < budget and rec(i + 1, colored, skips + 1, maxc, skip_slack):
+            return True
         rem[u] += 1
         rem[v] += 1
         failed.add(key_of(i, skips) if key is None else key)
@@ -354,20 +342,18 @@ def _greedy_peel(h: MultiGraph, cap: Sequence[int], k: int) -> dict[int, int]:
     """Incumbent: k passes of maximum matching on the still-free graph,
     each pass coloring the lowest free edge id of every matched pair."""
     free = list(cap)
-    unused: set[int] = set(range(h.m))
     assign: dict[int, int] = {}
     for c in range(1, k + 1):
         live = [
             (eid, (u, v))
-            for eid, (u, v) in ((e, h.edges[e]) for e in sorted(unused))
-            if free[u] > 0 and free[v] > 0
+            for eid, (u, v) in enumerate(h.edges)
+            if eid not in assign and free[u] > 0 and free[v] > 0
         ]
         if not live:
             break
         for eid in max_matching_ids(h.n, live):
             u, v = h.edges[eid]
             assign[eid] = c
-            unused.discard(eid)
             free[u] -= 1
             free[v] -= 1
     return assign
@@ -460,10 +446,7 @@ def nu_k(g: MultiGraph, k: int, use_poly: bool = True) -> NuResult:
 
 
 def solve_profile(
-    g: MultiGraph,
-    ks: Iterable[int],
-    use_poly: bool = True,
-    core: Optional[Core] = None,
+    g: MultiGraph, ks: Iterable[int], core: Optional[Core] = None
 ) -> dict[int, NuResult]:
     """Exact nu_k(g) for every k in ks, each with a verifying certificate.
 
@@ -506,7 +489,7 @@ def solve_profile(
             out[k] = NuResult(g.m, ColorClasses(k, below.certificate.assignment), 0)
         else:
             upper = None if below is None else k * below.value // (k - 1)
-            out[k] = _solve_reduced(g, core, k, use_poly, upper)
+            out[k] = _solve_reduced(g, core, k, True, upper)
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, TextIO
+from typing import TextIO
 
 from .errors import LoopRejected, MalformedGraph6, MalformedSparse6, SinkWriteError
 from .graph import MultiGraph
@@ -203,7 +203,8 @@ def serialize_rational(x) -> str:
 
 def _jsonable(value):
     """value with every int and Fraction, at any depth, as its exact string
-    and every mapping key as a string (see write_record)."""
+    and every mapping key as a string (see write_record).  Any other
+    type raises TypeError."""
     kind = type(value)
     if kind is dict:
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -215,29 +216,15 @@ def _jsonable(value):
         return value
     if kind is Fraction:
         return serialize_rational(value)
-    return _jsonable_any(value)
+    raise TypeError(f"cannot write a {kind.__name__} to a record")
 
 
-def _jsonable_any(value):
-    """_jsonable for values of any other type: subclasses, other mappings
-    and sequences."""
-    if isinstance(value, Fraction):
-        return serialize_rational(value)
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return serialize_rational(value)
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def write_record(sink: TextIO, record: Any) -> None:
-    """Write one record (a mapping) as a JSON line.  Every
-    integer and rational becomes an exact string; booleans, strings and
-    None stay as they are."""
+def write_record(sink: TextIO, record: dict) -> None:
+    """Write one record as a JSON line.  A record is built of exact
+    types only: dict, list, tuple, int, Fraction, str, bool and None.
+    Every integer and rational becomes an exact string; booleans,
+    strings and None stay as they are.  Any other type, a subclass
+    included (a float, an OrderedDict), raises TypeError."""
     try:
         sink.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
     except OSError as exc:

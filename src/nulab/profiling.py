@@ -8,7 +8,7 @@ profile.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import exact, poly, structure
 from .graph import Core, MultiGraph
@@ -16,13 +16,12 @@ from .matching import max_matching, min_odd_two_factor
 from .rules import GraphProfile, ProfileFlags
 
 
-def profile_flags(g: MultiGraph, core: Optional[Core] = None) -> ProfileFlags:
-    """g's class flags; core, if the caller has g.core(), spares counting
-    g's components again."""
+def profile_flags(g: MultiGraph, core: Core) -> ProfileFlags:
+    """g's class flags; core is g.core(), whose component count spares
+    counting g's components again."""
     bipartite, nearly_bipartite = structure.bipartiteness(g)
-    count = None if core is None else core.component_count
     return ProfileFlags(
-        **vars(g.structure_flags(count)),
+        **vars(g.structure_flags(core.component_count)),
         claw_free=structure.is_claw_free(g),
         bipartite=bipartite,
         nearly_bipartite=nearly_bipartite,

@@ -19,18 +19,11 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BadParameter, MissingProfileField, NuLabError
-from .graph import MultiGraph
+from .graph import MultiGraph, StructureFlags
 
 
 @dataclass(frozen=True)
-class ProfileFlags:
-    connected: bool
-    cubic: bool
-    bridgeless: bool
-    max_degree: int
-    cycle_rank: int
-    is_tree: bool
-    is_unicyclic: bool
+class ProfileFlags(StructureFlags):
     claw_free: bool
     bipartite: bool
     nearly_bipartite: bool

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour including exit codes."""
 
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nulab import cli, exact, families, gio
+from nulab import cli, corpus, exact, families, gio
 from nulab.exact import ColorClasses
 from nulab.graph import MultiGraph
 from nulab.profiling import compute_profile
@@ -237,6 +238,37 @@ def test_bad_parameters_exit_1(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(argv[0] + ": ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["gen", "petersen", "--k", "5", "--seed", "9"], id="gen-family"),
+        pytest.param(
+            ["gen", "cubic", "--max-n", "6", "--r", "3", "--count", "2"], id="gen-cubic"
+        ),
+        pytest.param(["solve", "-", "--k", "2", "--all-k", "1..3"], id="solve"),
+        pytest.param(["verify", "-", "--profiles", "--all-k", "3..3"], id="verify"),
+    ],
+)
+def test_ignored_options_exit_1(monkeypatch, capsys, argv):
+    """An option the command would parse and then ignore is an error,
+    raised before any input is read."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(gio.emit_sparse6(families.k4())))
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(argv[0] + ": ")
+    assert "--" in out.err
+
+
+def test_omitted_options_keep_their_defaults(monkeypatch, capsys):
+    assert cli.main(["gen", "random-trees"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [gio.emit_sparse6(g) for g in corpus.random_trees(10, 10, 0)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(gio.emit_sparse6(families.k4())))
+    code, recs, _ = _run(capsys, ["solve"])
+    assert code == cli.EXIT_OK and (recs[0]["k"], recs[0]["nu"]) == ("3", "6")
 
 
 def test_all_k_takes_up_to_64_values():

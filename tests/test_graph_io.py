@@ -4,7 +4,7 @@ and JSON-Lines report emission."""
 import io
 import json
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import networkx as nx
@@ -185,6 +185,23 @@ def test_emit_report_integers_as_strings():
     assert obj["profile"]["ratio"] == "16/17"
     assert obj["profile"]["flags"]["cubic"] is True
     assert obj["graph_id"] == "g0"
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        pytest.param({"ratio": 0.5}, id="float"),
+        pytest.param(OrderedDict(n=1), id="OrderedDict"),
+        pytest.param({"profile": {"nu": [1, OrderedDict()]}}, id="nested"),
+    ],
+)
+def test_emit_report_rejects_other_types(rec):
+    """A record is built of exact types only; any other type, a subclass
+    of one included, raises TypeError and writes nothing."""
+    sink = io.StringIO()
+    with pytest.raises(TypeError):
+        gio.write_record(sink, rec)
+    assert sink.getvalue() == ""
 
 
 class _BrokenSink(io.StringIO):

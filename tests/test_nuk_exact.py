@@ -217,6 +217,34 @@ def test_search_tree_pinned(name, k, value, nodes):
     assert res.node_count == nodes
 
 
+@pytest.mark.parametrize(
+    "build, k, value, nodes",
+    [
+        pytest.param(families.fig1_graph, 2, 5, 11, id="fig1-k2"),
+        pytest.param(families.fig1_graph, 3, 7, 18, id="fig1-k3"),
+        pytest.param(families.fig3_graph12, 2, 10, 135, id="fig3-k2"),
+        pytest.param(families.fig3_graph12, 3, 15, 125, id="fig3-k3"),
+    ],
+)
+def test_multigraph_search_tree_pinned(build, k, value, nodes):
+    """The search's node counts on the paper's multigraph examples, whose
+    doubled edges meet the parallel-twin rule that simple graphs never
+    do: a change to how twins are searched moves them."""
+    res = _check(build(), k, value)
+    assert res.node_count == nodes
+
+
+def test_random_multigraph_search_nodes_pinned():
+    """The total search nodes over 300 random multigraphs at k = 2..4."""
+    r = random.Random(400)
+    total = 0
+    for _ in range(300):
+        n = r.randint(5, 10)
+        g = corpus.random_multigraph(n, r.randint(n, 3 * n), r)
+        total += sum(exact.nu_k(g, k).node_count for k in (2, 3, 4))
+    assert total == 57914
+
+
 def test_long_path_and_cycle_solve():
     path, cycle = families.path(1201), families.cycle(1200)
     assert path.m == cycle.m == 1200
@@ -449,7 +477,15 @@ def _layout_inputs(draw):
 @example(build(3, []))
 @settings(max_examples=300, deadline=None)
 def test_static_order_is_a_permutation_of_the_edges(g):
-    assert sorted(exact._static_order(g)) == list(range(g.m))
+    """A permutation in which each parallel class takes consecutive
+    positions, in ascending id: the search's twin rule reads this."""
+    order = exact._static_order(g)
+    assert sorted(order) == list(range(g.m))
+    classes = [g.edges[e] for e in order]
+    for pair in set(classes):
+        at = [i for i, ends in enumerate(classes) if ends == pair]
+        assert at == list(range(at[0], at[0] + len(at)))
+        assert [order[i] for i in at] == sorted(order[i] for i in at)
 
 
 def _frontier_width(g, order):

@@ -82,7 +82,7 @@ def test_solve_profile_matches_nu_k_with_certificates():
     assert shortcuts >= 20
 
 
-def _assert_ladder_is_nu_k(graphs, use_poly=True) -> tuple[int, int]:
+def _assert_ladder_is_nu_k(graphs) -> tuple[int, int]:
     """solve_profile(g, KS) against nu_k per k: equal values, proper
     certificates of that size; and, off the class-1 cubic shortcut
     (whose one search is every k's node count), no more search nodes for
@@ -91,18 +91,18 @@ def _assert_ladder_is_nu_k(graphs, use_poly=True) -> tuple[int, int]:
     graphs and ks, the ladder's and nu_k's."""
     ladder = per_k = 0
     for g in graphs:
-        got = exact.solve_profile(g, KS, use_poly=use_poly)
+        got = exact.solve_profile(g, KS)
         assert sorted(got) == list(KS)
         shortcut = g.is_cubic() and got[3].value == g.m
         for k in KS:
-            want = exact.nu_k(g, k, use_poly=use_poly)
+            want = exact.nu_k(g, k)
             res = got[k]
             assert res.value == want.value, (g, k)
             assert res.certificate.k == k
             assert res.certificate.is_proper(g)
             assert res.certificate.colored_count == res.value
             if not shortcut:
-                assert exact.solve_profile(g, [k], use_poly=use_poly) == {k: want}
+                assert exact.solve_profile(g, [k]) == {k: want}
                 assert res.node_count <= want.node_count, (g, k)
                 ladder += res.node_count
                 per_k += want.node_count
@@ -111,8 +111,8 @@ def _assert_ladder_is_nu_k(graphs, use_poly=True) -> tuple[int, int]:
 
 
 def test_solve_profile_is_nu_k_off_the_shortcut():
-    """Graphs that are not class-1 bridgeless cubic get nu_k's values on
-    both routes, and the ladder saves nodes on the class-2 ones."""
+    """Graphs that are not class-1 bridgeless cubic get nu_k's values,
+    and the ladder saves nodes on the class-2 ones."""
     graphs = [
         families.petersen(),  # bridgeless, class 2
         families.sylvester10(),  # has bridges
@@ -121,9 +121,8 @@ def test_solve_profile_is_nu_k_off_the_shortcut():
         families.remark_family(3, 5),
         MultiGraph(3, []),
     ]
-    for use_poly in (True, False):
-        ladder, per_k = _assert_ladder_is_nu_k(graphs, use_poly)
-        assert ladder < per_k
+    ladder, per_k = _assert_ladder_is_nu_k(graphs)
+    assert ladder < per_k
 
 
 def test_ladder_closes_class2_nu3():
@@ -237,8 +236,7 @@ def _disconnected_multigraph(rng: random.Random) -> MultiGraph:
     return MultiGraph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-@pytest.mark.parametrize("use_poly", [True, False])
-def test_solve_profile_is_nu_k_per_k(use_poly):
+def test_solve_profile_is_nu_k_per_k():
     """The ladder over one shared core gives each k nu_k's value, a
     proper certificate and no more nodes; each k alone is exactly nu_k."""
     rng = random.Random(8)
@@ -248,7 +246,7 @@ def test_solve_profile_is_nu_k_per_k(use_poly):
     graphs += [families.petersen(), families.triangle_replace(families.petersen())]
     graphs += [g for g in corpus.connected_cubic_graphs(10) if g.bridges()]  # class 2
     graphs += [_bridged_cubic(block, rng) for block in (10, 10, 14, 14)]
-    _assert_ladder_is_nu_k(graphs, use_poly)
+    _assert_ladder_is_nu_k(graphs)
 
 
 def test_compute_profile_finds_bridges_once(monkeypatch):
@@ -322,12 +320,12 @@ def _pendant_multigraphs(draw):
     return MultiGraph(n, draw(st.permutations(edges)))
 
 
-@given(_pendant_multigraphs(), st.booleans())
+@given(_pendant_multigraphs())
 @settings(max_examples=120, deadline=None)
-def test_profile_inequalities_across_k(g, use_poly):
+def test_profile_inequalities_across_k(g):
     """Through solve_profile's shared reduction: nu_k is monotone in k,
     nu_{k+1} <= nu_k + nu_1 and nu_k >= ceil(k * nu_{k+1} / (k + 1))."""
-    got = exact.solve_profile(g, KS, use_poly=use_poly)
+    got = exact.solve_profile(g, KS)
     nu = {k: res.value for k, res in got.items()}
     for k, res in got.items():
         assert res.certificate.is_proper(g) and res.certificate.colored_count == nu[k]
