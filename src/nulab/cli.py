@@ -11,6 +11,7 @@ deterministic and ordered by input line.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -19,13 +20,9 @@ from typing import Callable, Iterator, Optional, TextIO
 from . import corpus, exact, families, gio, oracle, rules, structure
 from .errors import (
     BadParameter,
-    MalformedGraph6,
-    MalformedSparse6,
-    LoopRejected,
-    MissingProfileField,
-    NotInClass,
+    MalformedProfile,
+    NuLabError,
     SinkWriteError,
-    TooLarge,
     UnknownFamily,
 )
 from .graph import MultiGraph
@@ -42,64 +39,71 @@ EXIT_THEOREM = 3
 # input and output
 
 
-def _read_graphs(stream: TextIO) -> Iterator[tuple[int, str, MultiGraph]]:
-    """(line number, format, graph) per graph line; a line that does not
-    parse gets an error record instead."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        sparse = line.startswith(":") or line.startswith(">>sparse6<<")
-        try:
-            g = gio.parse_sparse6(line) if sparse else gio.parse_graph6(line)
-        except (MalformedGraph6, MalformedSparse6, LoopRejected) as exc:
-            gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-            continue
-        yield lineno, "sparse6" if sparse else "graph6", g
-
-
-def _read_profiles(stream: TextIO) -> Iterator[tuple[int, GraphProfile]]:
-    """(line number, profile) per JSON profile line (a bare profile or an
-    object with a "profile" field); a line that does not parse gets an
-    error record instead."""
-    for lineno, raw in enumerate(stream, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-            profile = profile_from_dict(obj.get("profile", obj))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            error = f"bad profile: {exc!r}"
-            gio.write_record(sys.stdout, {"line": lineno, "error": error})
-            continue
-        yield lineno, profile
-
-
-def _computed_profiles(
-    stream: TextIO, ks: list[int]
-) -> Iterator[tuple[int, GraphProfile]]:
-    """(line number, profile) per graph line; a graph too large to
-    profile gets an error record instead."""
-    for lineno, _, g in _read_graphs(stream):
-        try:
-            profile = compute_profile(g, ks=ks)
-        except TooLarge as exc:
-            gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-            continue
-        yield lineno, profile
-
-
 def _open_input(path: Optional[str]) -> TextIO:
-    if path in (None, "-"):
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    """The input as UTF-8 text.  A byte that does not decode becomes a
+    lone surrogate, so only the line holding it fails to parse."""
+    if path not in (None, "-"):
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    return sys.stdin
 
 
-def _runtime(start_ns: int) -> dict[str, int]:
-    """runtime_us and runtime_ms since start_ns (a perf_counter_ns
-    reading), both truncated from one clock reading."""
-    us = (time.perf_counter_ns() - start_ns) // 1000
-    return {"runtime_us": us, "runtime_ms": us // 1000}
+def _graph(line: str) -> tuple[str, MultiGraph]:
+    """(format, graph) of a sparse6 or graph6 line, told apart by the
+    leading ':' or '>>sparse6<<'."""
+    line = line.strip()
+    if line.startswith(":") or line.startswith(">>sparse6<<"):
+        return "sparse6", gio.parse_sparse6(line)
+    return "graph6", gio.parse_graph6(line)
+
+
+def _profile(line: str) -> GraphProfile:
+    """The profile of a JSON line: a bare profile or an object with a
+    "profile" field."""
+    try:
+        obj = json.loads(line)
+        return profile_from_dict(obj.get("profile", obj))
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise MalformedProfile(f"bad profile: {exc!r}") from exc
+
+
+def _per_line(stream: TextIO, work: Callable[[str], dict]) -> Iterator[dict]:
+    """One record per non-blank line of stream, in order: the fields
+    work(line) returns for the line as read, or the error of any
+    NuLabError it raises."""
+    for lineno, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            fields = work(line)
+        except NuLabError as exc:
+            yield {"line": lineno, "error": str(exc)}
+            continue
+        yield {"line": lineno, "graph_id": f"line{lineno}", **fields}
+
+
+def _write_per_line(path: Optional[str], work: Callable[[str], dict]) -> int:
+    """Write one record per non-blank line of the input at path."""
+    with _open_input(path) as stream:
+        for rec in _per_line(stream, work):
+            gio.write_record(sys.stdout, rec)
+    return EXIT_OK
+
+
+def _timed(solve: Callable[[MultiGraph, str], dict]) -> Callable[[str], dict]:
+    """The work for a graph line: the fields solve(graph, format)
+    returns, with the time they took as runtime_us and runtime_ms, both
+    truncated from one clock reading."""
+
+    def work(line: str) -> dict:
+        fmt, g = _graph(line)
+        start = time.perf_counter_ns()
+        fields = solve(g, fmt)
+        us = (time.perf_counter_ns() - start) // 1000
+        return fields | {"runtime_us": us, "runtime_ms": us // 1000}
+
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +185,6 @@ def _parse_all_k(spec: str) -> list[int]:
     return list(ks)
 
 
-def _write_per_line(
-    path: Optional[str], solve: Callable[[MultiGraph, str], dict]
-) -> int:
-    """One record per graph line of the input: the fields solve(graph,
-    format) returns, with the time they took.  A graph outside the
-    solver's class or too large for it gets an error record instead."""
-    with _open_input(path) as stream:
-        for lineno, fmt, g in _read_graphs(stream):
-            start = time.perf_counter_ns()
-            try:
-                fields = solve(g, fmt)
-            except (NotInClass, TooLarge) as exc:
-                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-                continue
-            rec = {"line": lineno, "graph_id": f"line{lineno}", **fields}
-            gio.write_record(sys.stdout, rec | _runtime(start))
-    return EXIT_OK
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k) if args.all_k else None
     if ks and args.certificate:
@@ -210,6 +195,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not ks and one_k < 1:
         raise BadParameter(f"--k must be >= 1, got {one_k}")
 
+    @_timed
     def solve(g: MultiGraph, _: str) -> dict:
         if ks:
             return {f"nu{k}": r.value for k, r in exact.solve_profile(g, ks).items()}
@@ -229,13 +215,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise BadParameter(f"--k must be >= 1, got {args.k}")
     if args.max_edges < 0:
         raise BadParameter(f"--max-edges must be >= 0, got {args.max_edges}")
-    return _write_per_line(
-        args.input,
-        lambda g, _: {
-            "k": args.k,
-            "nu": oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges),
-        },
-    )
+
+    @_timed
+    def solve(g: MultiGraph, _: str) -> dict:
+        nu = oracle.nu_k_oracle(g, args.k, max_edges=args.max_edges)
+        return {"k": args.k, "nu": nu}
+
+    return _write_per_line(args.input, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +230,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     ks = _parse_all_k(args.all_k)
-    return _write_per_line(
-        args.input,
-        lambda g, fmt: {
-            "format": fmt,
-            "profile": profile_as_dict(compute_profile(g, ks=ks)),
-            "rule_reports": (),
-        },
-    )
+
+    @_timed
+    def profile(g: MultiGraph, fmt: str) -> dict:
+        prof = profile_as_dict(compute_profile(g, ks=ks))
+        return {"format": fmt, "profile": prof, "rule_reports": ()}
+
+    return _write_per_line(args.input, profile)
 
 
 def _report_dict(rep: rules.RuleReport) -> dict:
@@ -264,30 +249,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise BadParameter("--profiles reads profiles; it does not take --all-k")
     ks = _parse_all_k(args.all_k or "1..4")
     worst = EXIT_OK
-    with _open_input(args.input) as stream:
-        items = (
-            _read_profiles(stream) if args.profiles else _computed_profiles(stream, ks)
-        )
-        for lineno, profile in items:
-            try:
-                reports = rules.evaluate_all(profile, rule_ids)
-            except MissingProfileField as exc:
-                gio.write_record(sys.stdout, {"line": lineno, "error": str(exc)})
-                continue
-            for rep in reports:
-                if rep.applicable and rep.holds is False:
-                    if rep.kind in rules.THEOREM_KINDS:
-                        worst = EXIT_THEOREM
-                    elif worst == EXIT_OK:
-                        worst = EXIT_CONJECTURE
-            gio.write_record(
-                sys.stdout,
-                {
-                    "line": lineno,
-                    "graph_id": f"line{lineno}",
-                    "rule_reports": [_report_dict(r) for r in reports],
-                },
-            )
+
+    def verify(line: str) -> dict:
+        nonlocal worst
+        if args.profiles:
+            profile = _profile(line)
+        else:
+            profile = compute_profile(_graph(line)[1], ks=ks)
+        reports = rules.evaluate_all(profile, rule_ids)
+        for rep in reports:
+            if rep.applicable and rep.holds is False:
+                if rep.kind in rules.THEOREM_KINDS:
+                    worst = EXIT_THEOREM
+                elif worst == EXIT_OK:
+                    worst = EXIT_CONJECTURE
+        return {"rule_reports": [_report_dict(r) for r in reports]}
+
+    _write_per_line(args.input, verify)
     return worst
 
 
@@ -296,9 +274,14 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     lineno = 0
 
     def graphs(stream: TextIO) -> Iterator[MultiGraph]:
+        # a line that does not parse gets its error record when drawn
         nonlocal lineno
-        for lineno, _, g in _read_graphs(stream):
-            yield g
+        for rec in _per_line(stream, lambda line: {"graph": _graph(line)[1]}):
+            lineno = rec["line"]
+            if "error" in rec:
+                gio.write_record(sys.stdout, rec)
+            else:
+                yield rec["graph"]
 
     with _open_input(args.input) as stream:
         # hunt yields every result for a graph before drawing the next
@@ -338,6 +321,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    @_timed
     def decompose(g: MultiGraph, _: str) -> dict:
         dec = structure.oum_decompose(g)
         rec = {

@@ -76,3 +76,7 @@ class MissingProfileField(NuLabError):
 class TooLarge(NuLabError):
     """Instance exceeds the size cap of the exhaustive oracle, or a
     search would recurse deeper than the interpreter allows."""
+
+
+class MalformedProfile(NuLabError):
+    """A profile line is not JSON, or its JSON is not a profile."""

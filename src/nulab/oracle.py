@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import BadParameter, TooLarge
+from .exact import _searchable
 from .graph import MultiGraph
 
 DEFAULT_MAX_EDGES = 12
@@ -47,6 +48,8 @@ def nu_k_oracle(g: MultiGraph, k: int, max_edges: int = DEFAULT_MAX_EDGES) -> in
     m = g.m
     if m > max_edges:
         raise TooLarge(f"oracle limited to {max_edges} edges, got {m}")
+    if not _searchable(g):  # the backtrack takes one frame per edge
+        raise TooLarge(f"a backtrack over {m} edges exceeds the recursion limit")
     # quick cap: a vertex of degree d contributes at most min(d, k) slots
     cap = sum(min(d, k) for d in g.degrees()) // 2
     all_ids = range(m)

@@ -2,16 +2,18 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nulab import cli, corpus, exact, families, gio
+from nulab import cli, corpus, exact, families, gio, oracle
+from nulab.errors import TooLarge
 from nulab.exact import ColorClasses
 from nulab.graph import MultiGraph
-from nulab.profiling import compute_profile
+from nulab.profiling import compute_profile, profile_as_dict
 
 
 def _run(capsys, argv):
@@ -353,12 +355,16 @@ def test_verify_profiles_reports_bad_json(tmp_path, capsys):
             }
         )
         + "\n"
+        # json.loads raises RecursionError; the line after it is read
+        + "[" * 100_000 + "\n"
+        + json.dumps(recs[0]) + "\n"
     )
     code, recs, _ = _run(capsys, ["verify", str(pfile), "--profiles"])
     assert code == cli.EXIT_OK
-    assert [r["line"] for r in recs] == ["1", "2", "3", "4", "5", "6", "7", "8"]
-    assert ["error" in r for r in recs] == [True, False] + [True] * 6
-    assert all(r["error"].startswith("bad profile") for r in recs[4:])
+    assert [r["line"] for r in recs] == [str(i) for i in range(1, 11)]
+    assert ["error" in r for r in recs] == [True, False] + [True] * 7 + [False]
+    assert all(r["error"].startswith("bad profile") for r in recs[4:9])
+    assert recs[8]["error"].startswith("bad profile: RecursionError(")
 
 
 def test_verify_records_are_pinned(tmp_path, capsys):
@@ -425,6 +431,95 @@ def test_search_too_deep_yields_error_records(tmp_path, capsys, monkeypatch):
     code, recs, _ = _run(capsys, ["verify", path])
     assert code == cli.EXIT_OK
     assert "error" in recs[0] and "rule_reports" in recs[1]
+
+
+def _k4_profile_line():
+    buf = io.StringIO()
+    gio.write_record(buf, profile_as_dict(compute_profile(families.k4())))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--all-k", "1..3"],
+        ["profile"],
+        ["verify"],
+        ["verify", "--profiles"],
+        ["oracle"],
+        ["decompose"],
+        # K4's profile lacks the nu_2 the hunted rules need, so its
+        # record is an error too
+        ["hunt", "--all-k", "3..3"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_line_gets_an_error_record_and_the_next_line_its_own(
+    tmp_path, capsys, argv
+):
+    path = tmp_path / "in.txt"
+    if "--profiles" in argv:
+        path.write_text("{not json\n" + _k4_profile_line())
+    else:
+        k4 = gio.emit_sparse6(families.k4())
+        path.write_text("not-a-graph6-line{}\n" + k4 + "\n")
+    code, recs, out = _run(capsys, [argv[0], str(path), *argv[1:]])
+    recs = [r for r in recs if "header" not in r]
+    assert code == cli.EXIT_OK
+    assert "Traceback" not in out.err
+    assert [r["line"] for r in recs] == ["1", "2"]
+    assert ["error" in r for r in recs] == [True, argv[0] == "hunt"]
+
+
+def test_oracle_beyond_the_recursion_limit_is_an_error_record(tmp_path, capsys):
+    with pytest.raises(TooLarge):
+        oracle.nu_k_oracle(families.cycle(1500), 2, max_edges=2000)
+    path = _write_graphs(tmp_path / "g.s6", [families.cycle(1500), families.k4()])
+    argv = ["oracle", path, "--k", "2", "--max-edges", "2000"]
+    code, recs, out = _run(capsys, argv)
+    assert code == cli.EXIT_OK
+    assert "Traceback" not in out.err
+    assert ["error" in r for r in recs] == [True, False]
+    assert "recursion limit" in recs[0]["error"]
+    assert recs[1]["nu"] == "4"
+
+
+def test_non_utf8_bytes_fail_only_their_line(tmp_path, capsys):
+    k4 = gio.emit_sparse6(families.k4()).encode()
+    path = tmp_path / "g.s6"
+    path.write_bytes(k4 + b"\n:C\xffKI\n" + k4 + b"\n")
+    error = "invalid character '\\udcff' (byte offset 2)"
+    for command in ("solve", "verify"):
+        code, recs, _ = _run(capsys, [command, str(path)])
+        assert code == cli.EXIT_OK
+        assert [r["line"] for r in recs] == ["1", "2", "3"]
+        assert [r.get("error") for r in recs] == [None, error, None]
+    # stdin that would decode strictly is read the same way
+    proc = subprocess.run(
+        [sys.executable, "-m", "nulab.cli", "solve"],
+        input=path.read_bytes(),
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert b"Traceback" not in proc.stderr
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r.get("error") for r in recs] == [None, error, None]
+
+
+class _ClosedSink(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError("sink closed")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "hunt"])
+def test_a_failing_sink_exits_1(tmp_path, capsys, monkeypatch, command):
+    """A write error is not the line's error: the command stops."""
+    path = _write_graphs(tmp_path / "g.s6", [families.k4()])
+    monkeypatch.setattr(sys, "stdout", _ClosedSink())
+    assert cli.main([command, path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "nulab: sink closed\n"
 
 
 def test_solve_all_k_matches_nu_k(tmp_path, capsys):
